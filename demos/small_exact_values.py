@@ -3,7 +3,8 @@ Exhaustive exact values at small parameters
 ===========================================
 
 The search core enumerates two-colorings of complete graphs by edge
-DFS with containment pruning and isomorph rejection.  For parameters
+DFS with containment pruning, isomorph rejection and degree windows
+from smaller Ramsey numbers it proves along the way.  For parameters
 where a packaged construction exists, the search starts from that
 construction's order instead of the bottom of the range, so the run
 spends its time on the single order that needs refutation.

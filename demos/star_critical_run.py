@@ -3,8 +3,8 @@
 The star-critical value for a pair (G, H) with Ramsey number r asks
 how many spokes a fresh vertex attached to K_{r-1} needs before every
 coloring of the combined host forces a red G or blue H.  The search
-enumerates every free coloring of K_{r-1} and, for each, finds the
-largest spoke set that still extends freely.
+enumerates every free coloring of K_{r-1} up to isomorphism and, for
+each, finds the largest spoke set that still extends freely.
 """
 
 from fanram import star_critical, star_lower_bound, complete, generalized_fan

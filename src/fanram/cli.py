@@ -66,7 +66,23 @@ def _stats_obj(st: search.SearchStats) -> dict:
         "nodes": st.nodes,
         "red_prunes": st.red_prunes,
         "blue_prunes": st.blue_prunes,
+        "degree_prunes": st.degree_prunes,
         "iso_prunes": st.iso_prunes,
+    }
+
+
+def _cap_obj(cap: search.DegreeCap) -> dict:
+    return {
+        "red": format_target(cap.red),
+        "blue": format_target(cap.blue),
+        "value": cap.value,
+        "free_order": cap.free_order,
+        "source": cap.source,
+        "nodes": cap.nodes,
+        "caps_for": [
+            {"color": color, "red": format_target(red), "blue": format_target(blue)}
+            for color, red, blue in cap.caps_for
+        ],
     }
 
 
@@ -260,6 +276,7 @@ def _search_report(command: str, args, result: search.SearchResult, extra: dict)
         status=result.status,
         witness=witness_obj,
         stats=_stats_obj(result.stats),
+        caps=[_cap_obj(cap) for cap in result.caps],
     )
     return doc
 

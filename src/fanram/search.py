@@ -6,6 +6,29 @@ branch first. After each edge is colored, only containment through that edge
 is re-checked: every earlier partial coloring was verified clean, so any
 embedding present now must use the new edge. Results never depend on
 thread_count_hint; the DFS is sequential and the hint is recorded only.
+
+Degree windows. Cliques and fans are cones: K_m = K1 + K_{m-1} for m >= 2 and
+F:t,n = K1 + nK_t for t >= 2. If a vertex of a free coloring of K_N had red
+degree r(R', B) or more, where R' is the red target R without its cone
+vertex, its red neighborhood would hold a red R' (with the vertex, a red R)
+or a blue B. So every vertex has red degree at most r(R', B) - 1, and blue
+degree at most r(R, B') - 1 with B' defined the same way. On a complete host
+red + blue + uncolored = N - 1 at every vertex, so the floor each cap puts on
+the other color's final degree is the cap itself: the DFS cuts a branch as
+soon as an endpoint of the edge just colored goes over its cap, and returns
+at the root when the two caps sum to less than N - 1. Matchings, copies and
+explicit targets are not cones here and get no cap on their side.
+
+Each cap comes from this module: r(K1, H) = 1, r(K2, H) = |V(H)| when H has
+no isolated vertex, and otherwise a scan of the smaller pair by the same
+search, starting one order above its verified construction if it has one.
+A cap at order N is scanned only up to N - 1, the largest order at which it
+can bind. Cap scans charge the caller's node counter and budget. Their
+results live in a table that one top-level call shares across every nesting
+level and drops when it returns, and they are reported as
+SearchResult.caps. Because the cut branches hold no free coloring and the
+DFS order is unchanged, every first coloring found equals the plain
+search's.
 """
 
 from __future__ import annotations
@@ -37,6 +60,8 @@ from .patterns import (
     kt_packing,
     normalize_pattern,
     parse_target,
+    pattern_graph,
+    pattern_order,
 )
 
 
@@ -62,7 +87,29 @@ class SearchStats:
     nodes: int = 0
     red_prunes: int = 0
     blue_prunes: int = 0
+    degree_prunes: int = 0
     iso_prunes: int = 0
+
+
+@dataclass
+class DegreeCap:
+    """What one top-level call knows about r(red, blue) for a smaller pair
+    whose value caps vertex degrees of a larger one.
+
+    source is "identity" (r(K1, H) or r(K2, H)) or "search". free_order is
+    the largest order known to admit a free coloring, value the Ramsey
+    number once known. nodes counts the DFS nodes of this pair's own orders,
+    not those of the caps they used in turn. caps_for lists the
+    (color, red, blue) degree windows the value bounds.
+    """
+
+    red: TargetPattern
+    blue: TargetPattern
+    source: str
+    free_order: int = 0
+    value: int | None = None
+    nodes: int = 0
+    caps_for: list[tuple[str, TargetPattern, TargetPattern]] = field(default_factory=list)
 
 
 @dataclass
@@ -71,6 +118,7 @@ class SearchResult:
     witness: TwoColoring | None
     status: str  # "exact" or "budget_exhausted"
     stats: SearchStats = field(default_factory=SearchStats)
+    caps: tuple[DegreeCap, ...] = ()
 
 
 def _as_pattern(t: TargetPattern | str) -> TargetPattern:
@@ -128,6 +176,106 @@ def _is_complete(host: Graph) -> bool:
     return host == complete(host.order)
 
 
+def _cone_base(p: TargetPattern) -> TargetPattern | None:
+    """H with p = K1 + H, for the cones the degree windows use: K_{m-1} for
+    K_m (m >= 2) and nK_t for F:t,n (t >= 2). None for other targets."""
+    if isinstance(p, Clique) and p.size >= 2:
+        return Clique(p.size - 1)
+    if isinstance(p, Fan) and p.t >= 2:
+        if p.n == 1:
+            return Clique(p.t)
+        if p.t == 2:
+            return Matching(p.n)
+        return Copies(p.n, Clique(p.t))
+    return None
+
+
+def _identity_value(red_t: TargetPattern, blue_t: TargetPattern) -> int | None:
+    """r(K1, H) = 1, and r(K2, H) = |V(H)| when H has no isolated vertex, in
+    either orientation; None when neither identity applies."""
+    if Clique(1) in (red_t, blue_t):
+        return 1
+    for a, b in ((red_t, blue_t), (blue_t, red_t)):
+        if a == Clique(2) and all(pattern_graph(b).rows):
+            return pattern_order(b)
+    return None
+
+
+class _CapTable:
+    """Degree caps of one top-level search call, shared by every nesting
+    level of it and dropped with it, so that repeated calls count the same
+    nodes. spent is the number of nodes its scans used."""
+
+    def __init__(self, cfg: SearchConfig, stats: SearchStats):
+        self.cfg = cfg
+        self.stats = stats
+        self.pairs: dict[tuple[TargetPattern, TargetPattern], DegreeCap] = {}
+        self.spent = 0
+
+    def used(self) -> tuple[DegreeCap, ...]:
+        return tuple(self.pairs.values())
+
+    def windows(self, red_t: TargetPattern, blue_t: TargetPattern, order: int) -> tuple[int, int]:
+        """(red cap, blue cap) on every vertex degree of a free coloring of
+        K_order; order - 1 where no smaller cap is proven."""
+        cap_red = cap_blue = order - 1
+        base = _cone_base(red_t)
+        if base is not None:
+            cap_red = self._value_below(base, blue_t, order, ("red", red_t, blue_t)) - 1
+        base = _cone_base(blue_t)
+        if base is not None:
+            cap_blue = self._value_below(red_t, base, order, ("blue", red_t, blue_t)) - 1
+        return cap_red, cap_blue
+
+    def _value_below(
+        self,
+        red_t: TargetPattern,
+        blue_t: TargetPattern,
+        order: int,
+        use: tuple[str, TargetPattern, TargetPattern],
+    ) -> int:
+        """r(red_t, blue_t) if it is below order, else order. Scans the pair
+        no further than order - 1, the largest order where the cap binds."""
+        cap = self.pairs.get((red_t, blue_t))
+        if cap is None:
+            cap = self._new(red_t, blue_t)
+        if use not in cap.caps_for:
+            cap.caps_for.append(use)
+        while cap.value is None and cap.free_order < order - 1:
+            self._settle_next(cap)
+        if cap.value is not None and cap.value < order:
+            return cap.value
+        return order
+
+    def _new(self, red_t: TargetPattern, blue_t: TargetPattern) -> DegreeCap:
+        value = _identity_value(red_t, blue_t)
+        if value is not None:
+            cap = DegreeCap(red_t, blue_t, "identity", value - 1, value)
+        else:
+            seed = _seed_coloring(red_t, blue_t)
+            cap = DegreeCap(red_t, blue_t, "search", seed.host.order if seed else 0)
+        self.pairs[(red_t, blue_t)] = cap
+        return cap
+
+    def _settle_next(self, cap: DegreeCap) -> None:
+        """Decide the order above cap.free_order. A cap needs the value only,
+        so a refuted order never searches the order below for a witness."""
+        order = cap.free_order + 1
+        nodes, spent = self.stats.nodes, self.spent
+        try:
+            found = exists_free_coloring(
+                complete(order), cap.red, cap.blue, self.cfg, _stats=self.stats, _caps=self
+            )
+        finally:
+            own = self.stats.nodes - nodes - (self.spent - spent)
+            cap.nodes += own
+            self.spent += own
+        if found is None:
+            cap.value = order
+        else:
+            cap.free_order = order
+
+
 def _free_coloring_dfs(
     host: Graph,
     red_t: TargetPattern,
@@ -135,14 +283,23 @@ def _free_coloring_dfs(
     cfg: SearchConfig,
     stats: SearchStats,
     enumerate_all: bool,
-    use_iso: bool,
+    caps: _CapTable | None,
 ) -> Iterator[TwoColoring]:
-    """Yield free colorings in DFS order; exhaustive when fully consumed."""
+    """Yield free colorings in DFS order; exhaustive when fully consumed.
+    On a complete host, canonical colorings only, pruned by the degree
+    windows of caps (None: the plain search)."""
     n = host.order
     if _root_blocked(n, red_t, blue_t):
         return
     edges = host.edges()
-    depth = cfg.iso_rejection_depth if (use_iso and _is_complete(host)) else 0
+    complete_host = _is_complete(host)
+    depth = cfg.iso_rejection_depth if complete_host else 0
+    cap_red = cap_blue = n
+    if caps is not None and complete_host:
+        cap_red, cap_blue = caps.windows(red_t, blue_t, n)
+        if cap_red + cap_blue < n - 1:
+            stats.degree_prunes += 1
+            return
     rows_red = [0] * n
     rows_blue = [0] * n
 
@@ -168,18 +325,22 @@ def _free_coloring_dfs(
                 )
             rows = rows_red if is_red else rows_blue
             target = red_t if is_red else blue_t
+            cap = cap_red if is_red else cap_blue
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            hit = _new_containment(rows, n, target, u, v)
-            if cfg.debug_recheck:
-                assert hit == (_contains_rows(rows, n, target) is not None)
-            if hit:
-                if is_red:
-                    stats.red_prunes += 1
-                else:
-                    stats.blue_prunes += 1
+            if rows[u].bit_count() > cap or rows[v].bit_count() > cap:
+                stats.degree_prunes += 1
             else:
-                yield from dfs(i + 1)
+                hit = _new_containment(rows, n, target, u, v)
+                if cfg.debug_recheck:
+                    assert hit == (_contains_rows(rows, n, target) is not None)
+                if hit:
+                    if is_red:
+                        stats.red_prunes += 1
+                    else:
+                        stats.blue_prunes += 1
+                else:
+                    yield from dfs(i + 1)
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
 
@@ -195,14 +356,16 @@ def exists_free_coloring(
     blue_target: TargetPattern | str,
     config: SearchConfig | None = None,
     _stats: SearchStats | None = None,
+    _caps: _CapTable | None = None,
 ) -> TwoColoring | None:
     """First free coloring of the host in DFS order, or None (exhaustive)."""
     cfg = config or SearchConfig()
     stats = _stats if _stats is not None else SearchStats()
+    caps = _caps if _caps is not None else _CapTable(cfg, stats)
     red_t = _as_pattern(red_target)
     blue_t = _as_pattern(blue_target)
     for coloring in _free_coloring_dfs(
-        host, red_t, blue_t, cfg, stats, enumerate_all=False, use_iso=True
+        host, red_t, blue_t, cfg, stats, enumerate_all=False, caps=caps
     ):
         return coloring
     return None
@@ -248,11 +411,11 @@ def ramsey_number(
     """Smallest N in [lo, hi] whose complete graph admits no free coloring.
 
     The witness is a free coloring one order below the value. When a known
-    extremal construction applies and verifies free at order c, every order
-    up to c admits a free coloring by restriction, so the scan starts at c+1
-    with the construction as pending witness. Raises RangeError when every
-    order in the range still admits a free coloring; a blown node budget
-    yields status "budget_exhausted" instead of a value.
+    extremal construction applies and verifies free at order c >= lo - 1,
+    every order up to c admits a free coloring by restriction, so the scan
+    starts at c+1 with the construction as pending witness. Raises
+    RangeError when every order in the range still admits a free coloring;
+    a blown node budget yields status "budget_exhausted" instead of a value.
     """
     if not 1 <= lo <= hi:
         raise BadParam("need 1 <= lo <= hi")
@@ -260,10 +423,11 @@ def ramsey_number(
     red_t = _as_pattern(red_target)
     blue_t = _as_pattern(blue_target)
     stats = SearchStats()
+    caps = _CapTable(cfg, stats)
     witness: TwoColoring | None = None
     start = lo
     seed = _seed_coloring(red_t, blue_t)
-    if seed is not None and lo <= seed.host.order:
+    if seed is not None and seed.host.order >= lo - 1:
         if seed.host.order >= hi:
             raise RangeError(
                 f"every order in [{lo}, {hi}] admits a free coloring"
@@ -273,17 +437,17 @@ def ramsey_number(
     try:
         for order in range(start, hi + 1):
             found = exists_free_coloring(
-                complete(order), red_t, blue_t, cfg, _stats=stats
+                complete(order), red_t, blue_t, cfg, _stats=stats, _caps=caps
             )
             if found is None:
                 if order > 1 and witness is None:
                     witness = exists_free_coloring(
-                        complete(order - 1), red_t, blue_t, cfg, _stats=stats
+                        complete(order - 1), red_t, blue_t, cfg, _stats=stats, _caps=caps
                     )
-                return SearchResult(order, witness, "exact", stats)
+                return SearchResult(order, witness, "exact", stats, caps.used())
             witness = found
     except BudgetExhausted:
-        return SearchResult(None, None, "budget_exhausted", stats)
+        return SearchResult(None, None, "budget_exhausted", stats, caps.used())
     raise RangeError(
         f"every order in [{lo}, {hi}] admits a free coloring"
     )
@@ -294,15 +458,14 @@ def star_critical(
     blue_target: TargetPattern | str,
     r: int,
     config: SearchConfig | None = None,
-    dedupe_isomorphs: bool = False,
 ) -> SearchResult:
     """Largest k for which some free coloring of K_{r-1} extends freely to a
     k-edge star vertex, plus one.
 
     r must be the exact Ramsey number of the pair: K_r admitting a free
     coloring, or K_{r-1} admitting none, violates the precondition. Base
-    colorings are enumerated exhaustively; dedupe_isomorphs restricts the
-    enumeration to canonical representatives without changing the value.
+    colorings are enumerated exhaustively up to isomorphism: isomorphic
+    bases extend equally far, so canonical representatives suffice.
     """
     if r < 3:
         raise BadParam("need r >= 3")
@@ -310,8 +473,9 @@ def star_critical(
     red_t = _as_pattern(red_target)
     blue_t = _as_pattern(blue_target)
     stats = SearchStats()
+    caps = _CapTable(cfg, stats)
     try:
-        if exists_free_coloring(complete(r), red_t, blue_t, cfg, _stats=stats):
+        if exists_free_coloring(complete(r), red_t, blue_t, cfg, _stats=stats, _caps=caps):
             raise PreconditionViolated(
                 f"K_{r} admits a free coloring, so r is not the Ramsey number"
             )
@@ -320,13 +484,7 @@ def star_critical(
         best: tuple[TwoColoring, tuple[tuple[int, bool], ...]] | None = None
         saw_base = False
         for base in _free_coloring_dfs(
-            complete(base_order),
-            red_t,
-            blue_t,
-            cfg,
-            stats,
-            enumerate_all=True,
-            use_iso=dedupe_isomorphs,
+            complete(base_order), red_t, blue_t, cfg, stats, enumerate_all=True, caps=caps
         ):
             saw_base = True
             k, choices = _max_free_extension(base, red_t, blue_t, cfg, stats, best_k)
@@ -334,7 +492,7 @@ def star_critical(
                 best_k = k
                 best = (base, choices)
     except BudgetExhausted:
-        return SearchResult(None, None, "budget_exhausted", stats)
+        return SearchResult(None, None, "budget_exhausted", stats, caps.used())
     if not saw_base:
         raise PreconditionViolated(
             f"K_{r - 1} admits no free coloring, so r is not the Ramsey number"
@@ -342,9 +500,9 @@ def star_critical(
     if best is None:
         # only reachable for targets with isolated vertices: even a bare
         # extra vertex completes an embedding on every base
-        return SearchResult(0, None, "exact", stats)
+        return SearchResult(0, None, "exact", stats, caps.used())
     witness = _extension_witness(best[0], best[1])
-    return SearchResult(best_k + 1, witness, "exact", stats)
+    return SearchResult(best_k + 1, witness, "exact", stats, caps.used())
 
 
 def _max_free_extension(

@@ -196,6 +196,26 @@ def test_ramsey_budget_exit_two(capsys):
     assert doc["status"] == "budget_exhausted"
 
 
+def test_search_reports_record_degree_caps(capsys):
+    code, doc, _ = run_json(
+        capsys, "ramsey", "--red", "K3", "--blue", "K4", "--lo", "1", "--hi", "10"
+    )
+    assert code == 0 and doc["value"] == 9
+    assert doc["stats"]["degree_prunes"] > 0
+    caps = {(c["red"], c["blue"]): c for c in doc["caps"]}
+    assert caps[("K2", "K4")]["source"] == "identity"
+    k3 = caps[("K3", "K3")]
+    assert (k3["value"], k3["source"]) == (6, "search") and k3["nodes"] > 0
+    assert k3["caps_for"] == [{"color": "blue", "red": "K3", "blue": "K4"}]
+    assert sum(c["nodes"] for c in doc["caps"]) < doc["stats"]["nodes"]
+    code, doc, _ = run_json(capsys, "star", "--red", "K3", "--blue", "K3", "--r", "6")
+    assert code == 0
+    assert [(c["red"], c["blue"], c["value"]) for c in doc["caps"]] == [
+        ("K2", "K3", 3),
+        ("K3", "K2", 3),
+    ]
+
+
 def test_ramsey_byte_identical_across_thread_hints(capsys):
     args = ["ramsey", "--red", "K3", "--blue", "K3", "--lo", "3", "--hi", "8"]
     _, out1, _ = run(capsys, *args, "--threads", "1")

@@ -4,12 +4,16 @@ from itertools import combinations, product
 
 import pytest
 
-from fanram.colorings import TwoColoring, check_free, lemma27_construction
+from fanram.colorings import TwoColoring, check_free, lemma27_construction, thm17_construction
 from fanram.errors import BadParam, BudgetExhausted, PreconditionViolated, RangeError
 from fanram.graphs import complete, from_edges, is_connected
 from fanram.patterns import contains_target, parse_target
 from fanram.search import (
     SearchConfig,
+    SearchStats,
+    _as_pattern,
+    _CapTable,
+    _free_coloring_dfs,
     exists_free_coloring,
     packing_property_check,
     ramsey_number,
@@ -192,11 +196,14 @@ def test_star_critical_range_invariant():
         assert 1 <= value <= r - 1
 
 
-def test_star_critical_dedupe_toggle_value_stable():
-    base = star_critical("M:2", "F:2,1", 5)
-    deduped = star_critical("M:2", "F:2,1", 5, dedupe_isomorphs=True)
-    assert base.value == deduped.value
-    assert deduped.stats.nodes <= base.stats.nodes
+def test_star_critical_canonical_bases_match_oracle():
+    # base colorings are enumerated up to isomorphism only; the brute-force
+    # oracle sees every labeled base
+    for red, blue, r in [("M:2", "F:2,1", 5), ("K3", "K3", 6)]:
+        res = star_critical(red, blue, r)
+        assert res.value == oracle_star(red, blue, r), (red, blue)
+        assert res.witness.host.degree(r - 1) == res.value - 1
+        assert check_free(res.witness, red, blue).valid
 
 
 def test_star_critical_preconditions():
@@ -206,6 +213,87 @@ def test_star_critical_preconditions():
         star_critical("K3", "K3", 7)  # K_6 already forces
     with pytest.raises(BadParam):
         star_critical("K3", "K3", 2)
+
+
+def test_ramsey_seeds_from_construction_one_order_below_lo():
+    # thm17(3,1,2,2) colors K8 freely, so with lo = 9 only K9 is searched
+    res = ramsey_number("K3", "F:2,2", 9, 9)
+    assert res.value == 9 and res.status == "exact"
+    assert res.witness == thm17_construction(3, 1, 2, 2)
+    stats = SearchStats()
+    assert exists_free_coloring(complete(9), "K3", "F:2,2", _stats=stats) is None
+    assert res.stats == stats
+
+
+def _plain_first(order: int, red, blue):
+    stats = SearchStats()
+    return next(_free_coloring_dfs(complete(order), red, blue, SearchConfig(), stats, False, None), None)
+
+
+def _all_free(order: int, red, blue, windowed: bool) -> set:
+    cfg, stats = SearchConfig(), SearchStats()
+    caps = _CapTable(cfg, stats) if windowed else None
+    return set(_free_coloring_dfs(complete(order), red, blue, cfg, stats, True, caps))
+
+
+@pytest.mark.parametrize(
+    "red, blue, value",
+    [
+        ("K3", "K3", 6),
+        ("K3", "K4", 9),
+        ("K3", "F:2,2", 9),
+        ("K3", "F:3,1", 9),
+        ("K4", "F:2,1", 9),
+        ("M:2", "F:2,2", 6),
+        ("K3", "2xF:2,1", 8),
+    ],
+)
+def test_degree_windows_match_plain_search(red, blue, value):
+    red_t, blue_t = _as_pattern(red), _as_pattern(blue)
+    for order in range(1, value + 1):
+        windowed = exists_free_coloring(complete(order), red_t, blue_t)
+        assert windowed == _plain_first(order, red_t, blue_t), order
+        assert (windowed is None) == (order == value)
+        if order <= 6:
+            assert _all_free(order, red_t, blue_t, True) == _all_free(
+                order, red_t, blue_t, False
+            ), order
+    res = ramsey_number(red, blue, 1, value + 1)
+    assert res.value == value
+    for cap in res.caps:
+        if cap.value is not None:
+            assert ramsey_number(cap.red, cap.blue, 1, cap.value).value == cap.value
+        elif cap.free_order:
+            assert exists_free_coloring(complete(cap.free_order), cap.red, cap.blue)
+        assert cap.caps_for
+
+
+def test_degree_caps_identities_and_cones():
+    # thm17(4,1,2,2) colors K12, so the search starts at K13; the caps are
+    # settled at its root, before the budget runs out in its DFS
+    res = ramsey_number("K4", "F:2,2", 13, 13, SearchConfig(node_budget=3000))
+    found = {(cap.red, cap.blue): cap for cap in res.caps}
+    # K4 = K1 + K3 and F:2,2 = K1 + 2K2
+    red_cap = found[(_as_pattern("K3"), _as_pattern("F:2,2"))]
+    blue_cap = found[(_as_pattern("K4"), _as_pattern("M:2"))]
+    assert ("red", _as_pattern("K4"), _as_pattern("F:2,2")) in red_cap.caps_for
+    assert ("blue", _as_pattern("K4"), _as_pattern("F:2,2")) in blue_cap.caps_for
+    # r(K2, H) = |V(H)| needs no search
+    k2 = found[(_as_pattern("K2"), _as_pattern("F:2,2"))]
+    assert (k2.value, k2.source, k2.nodes) == (5, "identity", 0)
+    # the scan of r(K3, F:2,2) starts above thm17(3,1,2,2) on K8
+    assert red_cap.source == "search" and red_cap.free_order >= 8
+    assert (red_cap.value, blue_cap.value) == (9, 6)
+
+
+def test_cap_scans_share_the_node_budget():
+    # K18 needs r(K3, K4) = 9 as a cap, whose scan runs out of budget first
+    res = ramsey_number("K4", "K4", 18, 18, SearchConfig(node_budget=50))
+    assert res.status == "budget_exhausted"
+    assert res.stats.nodes == 51
+    assert sum(cap.nodes for cap in res.caps) == 51
+    again = ramsey_number("K4", "K4", 18, 18, SearchConfig(node_budget=50))
+    assert again.stats == res.stats and again.caps == res.caps
 
 
 def test_star_critical_budget():
