@@ -1,8 +1,9 @@
 """Append-only result cache: one JSON object per line, newest match wins.
 
-A cache hit is advisory only. Embedded certificates are re-validated before a
-record is trusted; anything unreadable is skipped with a warning so a damaged
-file degrades to a miss, never to a wrong answer.
+A cache hit is advisory only. Lookups skip records written by another tool
+version, and embedded certificates are re-validated before a record is
+trusted; anything unreadable is skipped with a warning so a damaged file
+degrades to a miss, never to a wrong answer.
 """
 
 from __future__ import annotations
@@ -103,11 +104,14 @@ def cache_lookup(
     blue_target: str,
     params: dict,
 ) -> ResultRecord | None:
-    """Newest record matching the full key, or None."""
+    """Newest record of this tool version matching the full key, or None.
+    Records written by another version are never replayed."""
     probe = json.dumps(params, sort_keys=True)
     best: ResultRecord | None = None
     for rec in load_records(path):
-        if (rec.kind, rec.red_target, rec.blue_target) == (kind, red_target, blue_target):
+        if (rec.kind, rec.red_target, rec.blue_target, rec.tool_version) == (
+            kind, red_target, blue_target, TOOL_VERSION
+        ):
             if json.dumps(rec.params, sort_keys=True) == probe:
                 best = rec
     return best

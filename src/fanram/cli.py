@@ -90,8 +90,6 @@ def _search_config(args) -> search.SearchConfig:
     cfg = search.SearchConfig()
     if getattr(args, "budget", None) is not None:
         cfg.node_budget = args.budget
-    if getattr(args, "threads", None) is not None:
-        cfg.thread_count_hint = args.threads
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     return cfg
@@ -388,6 +386,7 @@ def _cmd_cache(args) -> int:
                 "blue_target": rec.blue_target,
                 "params": rec.params,
                 "value": rec.value,
+                "tool_version": rec.tool_version,
             }
         )
     doc = _report(
@@ -419,8 +418,7 @@ def _add_search_flags(p) -> None:
     p.add_argument("--red", required=True, help="red target (grammar: K3, F:2,1, M:2, 2xF:2,2, G6:...)")
     p.add_argument("--blue", required=True, help="blue target")
     p.add_argument("--budget", type=int, help="DFS node budget")
-    p.add_argument("--threads", type=int, help="parallelism hint (results independent of it)")
-    p.add_argument("--seed", type=int, help="randomness seed for sampling harnesses")
+    p.add_argument("--threads", type=int, help="accepted and ignored: the search is sequential")
     _add_cache_flag(p)
 
 
@@ -486,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=_cmd_packing_check)
 
     p = sub.add_parser("cache", help="summarize a result cache file")

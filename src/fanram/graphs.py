@@ -206,22 +206,13 @@ def induced(g: Graph, vertices: Iterable[int]) -> Graph:
 
 def is_connected(g: Graph) -> bool:
     """True for the empty graph on 0 vertices and any connected graph."""
-    if g.order == 0:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.rows[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.order) - 1
+    return len(components_rows(g.rows, g.order)) <= 1
 
 
-def components(g: Graph) -> list[int]:
-    """Connected component bitmasks, ordered by their lowest vertex."""
-    remaining = (1 << g.order) - 1
+def components_rows(rows, n: int) -> list[int]:
+    """Connected component bitmasks of the graph with adjacency rows on
+    vertices 0..n-1, ordered by their lowest vertex."""
+    remaining = (1 << n) - 1
     out = []
     while remaining:
         start = remaining & -remaining
@@ -230,12 +221,17 @@ def components(g: Graph) -> list[int]:
         while frontier:
             nxt = 0
             for v in bits(frontier):
-                nxt |= g.rows[v]
+                nxt |= rows[v]
             frontier = nxt & ~seen
             seen |= frontier
         out.append(seen)
         remaining &= ~seen
     return out
+
+
+def components(g: Graph) -> list[int]:
+    """Connected component bitmasks, ordered by their lowest vertex."""
+    return components_rows(g.rows, g.order)
 
 
 def degree_profile(g: Graph) -> tuple[int, int, tuple[int, ...]]:

@@ -16,7 +16,7 @@ from typing import Iterator, Union
 from .errors import BadParam, ParseError
 from .graph6 import decode, encode
 from .graphs import Graph, bits, complete, copies as graph_copies
-from .graphs import generalized_fan, is_connected, mask_of
+from .graphs import components_rows, generalized_fan, is_connected, mask_of
 
 
 @dataclass(frozen=True)
@@ -344,24 +344,6 @@ def _embed_iter(rows, pat: Graph, avail: int) -> Iterator[list[int]]:
     yield from rec(0)
 
 
-def _components_rows(rows, n: int) -> list[int]:
-    remaining = (1 << n) - 1
-    out = []
-    while remaining:
-        start = remaining & -remaining
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= rows[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        out.append(seen)
-        remaining &= ~seen
-    return out
-
-
 def _max_matching_rows(rows, n: int) -> list[tuple[int, int]]:
     """Maximum matching via augmenting paths with blossom contraction."""
     match = [-1] * n
@@ -540,7 +522,7 @@ def _copies_rows(rows, n: int, count: int, inner: TargetPattern) -> EmbeddingWit
     p = pattern_order(inner)
     remaining = count
     groups: list[tuple[int, ...]] = []
-    for comp in _components_rows(rows, n):
+    for comp in components_rows(rows, n):
         if remaining == 0:
             break
         cap = comp.bit_count() // p

@@ -1,11 +1,16 @@
 """Exhaustive free-coloring search, Ramsey number scans, star-critical
 computation, and the randomized minimum-degree packing harness.
 
-The coloring search is a DFS over host edges in lexicographic order, red
-branch first. After each edge is colored, only containment through that edge
-is re-checked: every earlier partial coloring was verified clean, so any
-embedding present now must use the new edge. Results never depend on
-thread_count_hint; the DFS is sequential and the hint is recorded only.
+Both searches run on one engine, _color_slots: an explicit-stack DFS that
+colors a list of edge slots in order, red branch first, so its depth is
+bounded by memory, not by the interpreter's frame limit. After each slot is
+colored, only containment through that edge is re-checked: every earlier
+partial coloring was verified clean, so any embedding present now must use
+the new edge. The Ramsey search passes the host edges in lexicographic
+order and needs every slot colored; the star extension passes the star
+edges (j, w) of a fresh vertex w, lets each slot also stay uncolored, and
+cuts a branch that cannot attach more edges than the best found so far.
+The search is sequential and deterministic.
 
 Degree windows. Cliques and fans are cones: K_m = K1 + K_{m-1} for m >= 2 and
 F:t,n = K1 + nK_t for t >= 2. If a vertex of a free coloring of K_N had red
@@ -67,19 +72,11 @@ from .patterns import (
 
 @dataclass
 class SearchConfig:
-    """Knobs for the exhaustive searches.
-
-    thread_count_hint is accepted for interface stability and recorded, but
-    exploration is sequential, so results are identical for every hint.
-    iso_rejection_depth counts leading vertex stars of a complete host whose
-    colorings are restricted to canonical (block-sorted) form; 0 disables it.
-    """
+    """node_budget bounds the DFS nodes of one top-level search; seed drives
+    the randomized packing harness."""
 
     node_budget: int = 10_000_000
-    iso_rejection_depth: int = 2
-    thread_count_hint: int = 1
     seed: int = 0
-    debug_recheck: bool = False
 
 
 @dataclass
@@ -150,14 +147,14 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
     return _contains_rows(rows, n, target) is not None
 
 
-def _iso_allows(rows_red, u: int, v: int, is_red: bool, depth: int) -> bool:
-    """Canonical-form restriction on the first one or two vertex stars of a
+def _iso_allows(rows_red, u: int, v: int, is_red: bool) -> bool:
+    """Canonical-form restriction on the first two vertex stars of a
     complete host: within each block of equal earlier colors, red must come
     before blue. Every coloring has an isomorph obeying this."""
-    if depth >= 1 and u == 0 and v >= 2:
+    if u == 0 and v >= 2:
         if is_red and not rows_red[0] >> (v - 1) & 1:
             return False
-    if depth >= 2 and u == 1 and v >= 3:
+    if u == 1 and v >= 3:
         if (rows_red[0] >> v & 1) == (rows_red[0] >> (v - 1) & 1):
             if is_red and not rows_red[1] >> (v - 1) & 1:
                 return False
@@ -276,13 +273,101 @@ class _CapTable:
             cap.free_order = order
 
 
+def _color_slots(
+    slots: list[tuple[int, int]],
+    rows_red: list[int],
+    rows_blue: list[int],
+    red_t: TargetPattern,
+    blue_t: TargetPattern,
+    cfg: SearchConfig,
+    stats: SearchStats,
+    windows: tuple[int, int] | None = None,
+    iso: bool = False,
+    beat: int | None = None,
+) -> Iterator[list[bool | None]]:
+    """Color slots in order, red before blue, on top of the given color
+    classes, and yield the colors (True red, False blue, None uncolored) of
+    every free coloring reached, in DFS order. Each colored slot is one node
+    of the budget. windows caps the red and blue degree of every vertex;
+    iso applies the canonical-form restriction of a complete host.
+
+    beat None: every slot must be colored. beat an int: a slot may also stay
+    uncolored after red and blue; only colorings with more colored slots
+    than beat are yielded, each raises beat to its count, and a level whose
+    remaining slots cannot beat it is cut when it is entered.
+    """
+    n = len(rows_red)
+    cap_red, cap_blue = windows or (n, n)
+    options = (True, False) if beat is None else (True, False, None)
+    width = len(options)
+    last = len(slots)
+    budget = cfg.node_budget
+    # stack[i] counts the options tried at slot i; below the top, the last
+    # of them is the color slot i holds now
+    stack = [0]
+    colored = 0
+    while stack:
+        i = len(stack) - 1
+        k = stack[i]
+        if k == 0:
+            if beat is not None and colored + last - i <= beat:
+                k = width
+            elif i == last:
+                yield [options[t - 1] for t in stack[:-1]]
+                if beat is not None:
+                    beat = colored
+                k = width
+        if k < width:
+            stack[i] = k + 1
+            is_red = options[k]
+            if is_red is None:
+                stack.append(0)
+                continue
+            u, v = slots[i]
+            if iso and not _iso_allows(rows_red, u, v, is_red):
+                stats.iso_prunes += 1
+                continue
+            stats.nodes += 1
+            if stats.nodes > budget:
+                raise BudgetExhausted(f"node budget {budget} exhausted", stats)
+            if is_red:
+                rows, target, cap = rows_red, red_t, cap_red
+            else:
+                rows, target, cap = rows_blue, blue_t, cap_blue
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            if rows[u].bit_count() > cap or rows[v].bit_count() > cap:
+                stats.degree_prunes += 1
+            elif _new_containment(rows, n, target, u, v):
+                if is_red:
+                    stats.red_prunes += 1
+                else:
+                    stats.blue_prunes += 1
+            else:
+                colored += 1
+                stack.append(0)
+                continue
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+            continue
+        # every option at slot i is done: back up and undo slot i - 1
+        stack.pop()
+        if stack:
+            is_red = options[stack[-1] - 1]
+            if is_red is not None:
+                u, v = slots[i - 1]
+                rows = rows_red if is_red else rows_blue
+                rows[u] &= ~(1 << v)
+                rows[v] &= ~(1 << u)
+                colored -= 1
+
+
 def _free_coloring_dfs(
     host: Graph,
     red_t: TargetPattern,
     blue_t: TargetPattern,
     cfg: SearchConfig,
     stats: SearchStats,
-    enumerate_all: bool,
     caps: _CapTable | None,
 ) -> Iterator[TwoColoring]:
     """Yield free colorings in DFS order; exhaustive when fully consumed.
@@ -291,63 +376,18 @@ def _free_coloring_dfs(
     n = host.order
     if _root_blocked(n, red_t, blue_t):
         return
-    edges = host.edges()
     complete_host = _is_complete(host)
-    depth = cfg.iso_rejection_depth if complete_host else 0
-    cap_red = cap_blue = n
+    windows = None
     if caps is not None and complete_host:
-        cap_red, cap_blue = caps.windows(red_t, blue_t, n)
-        if cap_red + cap_blue < n - 1:
+        windows = caps.windows(red_t, blue_t, n)
+        if sum(windows) < n - 1:
             stats.degree_prunes += 1
             return
-    rows_red = [0] * n
-    rows_blue = [0] * n
-
-    def snapshot() -> TwoColoring:
-        red = frozenset(
-            (u, v) for u in range(n) for v in bits(rows_red[u]) if u < v
-        )
-        return TwoColoring(host, red)
-
-    def dfs(i: int) -> Iterator[TwoColoring]:
-        if i == len(edges):
-            yield snapshot()
-            return
-        u, v = edges[i]
-        for is_red in (True, False):
-            if depth and not _iso_allows(rows_red, u, v, is_red, depth):
-                stats.iso_prunes += 1
-                continue
-            stats.nodes += 1
-            if stats.nodes > cfg.node_budget:
-                raise BudgetExhausted(
-                    f"node budget {cfg.node_budget} exhausted", stats
-                )
-            rows = rows_red if is_red else rows_blue
-            target = red_t if is_red else blue_t
-            cap = cap_red if is_red else cap_blue
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            if rows[u].bit_count() > cap or rows[v].bit_count() > cap:
-                stats.degree_prunes += 1
-            else:
-                hit = _new_containment(rows, n, target, u, v)
-                if cfg.debug_recheck:
-                    assert hit == (_contains_rows(rows, n, target) is not None)
-                if hit:
-                    if is_red:
-                        stats.red_prunes += 1
-                    else:
-                        stats.blue_prunes += 1
-                else:
-                    yield from dfs(i + 1)
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-
-    for coloring in dfs(0):
-        yield coloring
-        if not enumerate_all:
-            return
+    edges = host.edges()
+    for colors in _color_slots(
+        edges, [0] * n, [0] * n, red_t, blue_t, cfg, stats, windows, complete_host
+    ):
+        yield TwoColoring(host, frozenset(e for e, red in zip(edges, colors) if red))
 
 
 def exists_free_coloring(
@@ -364,11 +404,7 @@ def exists_free_coloring(
     caps = _caps if _caps is not None else _CapTable(cfg, stats)
     red_t = _as_pattern(red_target)
     blue_t = _as_pattern(blue_target)
-    for coloring in _free_coloring_dfs(
-        host, red_t, blue_t, cfg, stats, enumerate_all=False, caps=caps
-    ):
-        return coloring
-    return None
+    return next(_free_coloring_dfs(host, red_t, blue_t, cfg, stats, caps), None)
 
 
 def _color_swap(coloring: TwoColoring) -> TwoColoring:
@@ -483,9 +519,7 @@ def star_critical(
         best_k = -1
         best: tuple[TwoColoring, tuple[tuple[int, bool], ...]] | None = None
         saw_base = False
-        for base in _free_coloring_dfs(
-            complete(base_order), red_t, blue_t, cfg, stats, enumerate_all=True, caps=caps
-        ):
+        for base in _free_coloring_dfs(complete(base_order), red_t, blue_t, cfg, stats, caps):
             saw_base = True
             k, choices = _max_free_extension(base, red_t, blue_t, cfg, stats, best_k)
             if k > best_k:
@@ -518,7 +552,6 @@ def _max_free_extension(
     (base vertex, is_red) of one maximizing extension."""
     m = base.host.order
     n = m + 1
-    w = m
     rows_red = [0] * n
     rows_blue = [0] * n
     for u, v in base.red:
@@ -537,42 +570,12 @@ def _max_free_extension(
         return -1, ()
     best_k = -1
     best_choices: tuple[tuple[int, bool], ...] = ()
-    chosen: list[tuple[int, bool]] = []
-
-    def dfs(j: int, attached: int):
-        nonlocal best_k, best_choices
-        if attached + (m - j) <= max(best_k, global_best):
-            return
-        if j == m:
-            if attached > best_k:
-                best_k = attached
-                best_choices = tuple(chosen)
-            return
-        for is_red in (True, False):
-            stats.nodes += 1
-            if stats.nodes > cfg.node_budget:
-                raise BudgetExhausted(
-                    f"node budget {cfg.node_budget} exhausted", stats
-                )
-            rows = rows_red if is_red else rows_blue
-            target = red_t if is_red else blue_t
-            rows[j] |= 1 << w
-            rows[w] |= 1 << j
-            hit = _new_containment(rows, n, target, j, w)
-            if hit:
-                if is_red:
-                    stats.red_prunes += 1
-                else:
-                    stats.blue_prunes += 1
-            else:
-                chosen.append((j, is_red))
-                dfs(j + 1, attached + 1)
-                chosen.pop()
-            rows[j] &= ~(1 << w)
-            rows[w] &= ~(1 << j)
-        dfs(j + 1, attached)
-
-    dfs(0, 0)
+    slots = [(j, m) for j in range(m)]
+    for colors in _color_slots(
+        slots, rows_red, rows_blue, red_t, blue_t, cfg, stats, beat=global_best
+    ):
+        best_choices = tuple((j, c) for j, c in enumerate(colors) if c is not None)
+        best_k = len(best_choices)
     return best_k, best_choices
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fanram.cache import TOOL_VERSION
 from fanram.cli import main
 from fanram.colorings import check_free, thm17_construction
 from fanram.graph6 import decode
@@ -196,6 +197,25 @@ def test_ramsey_budget_exit_two(capsys):
     assert doc["status"] == "budget_exhausted"
 
 
+def test_ramsey_deep_search_exits_one_without_traceback(capsys):
+    # K45 has 990 edges, one DFS level each; every coloring of it is free
+    code, doc, err = run_json(
+        capsys,
+        "ramsey", "--red", "M:30", "--blue", "M:30",
+        "--lo", "45", "--hi", "45", "--budget", "5000",
+    )
+    assert code == 1 and doc["status"] == "no_value_in_range"
+    assert "Traceback" not in err
+
+
+def test_flags_that_did_nothing_are_gone(capsys):
+    base = ["ramsey", "--red", "K3", "--blue", "K3", "--hi", "8"]
+    assert run(capsys, *base, "--seed", "3")[0] == 2
+    packing = ["packing-check", "--t", "2", "--n", "2", "--trials", "3"]
+    assert run(capsys, *packing, "--budget", "10")[0] == 2
+    assert run(capsys, *packing, "--threads", "2")[0] == 2
+
+
 def test_search_reports_record_degree_caps(capsys):
     code, doc, _ = run_json(
         capsys, "ramsey", "--red", "K3", "--blue", "K4", "--lo", "1", "--hi", "10"
@@ -341,8 +361,31 @@ def test_cache_subcommand_summary(tmp_path, capsys):
     assert doc["records"] == 1
     assert doc["by_kind"] == {"ramsey": 1}
     assert doc["entries"][0]["value"] == 5
+    assert doc["entries"][0]["tool_version"] == TOOL_VERSION
     code, _, err = run(capsys, "cache")
     assert code == 2
+
+
+def test_cache_other_tool_version_recomputes(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = [
+        "ramsey", "--red", "M:2", "--blue", "F:2,1",
+        "--lo", "3", "--hi", "8", "--cache", str(cache),
+    ]
+    _, out1, _ = run(capsys, *args)
+    rec = json.loads(cache.read_text())
+    rec["tool_version"] = "0.0.0"
+    rec["artifact"]["value"] = 99  # a replay would print this
+    cache.write_text(json.dumps(rec) + "\n")
+    code, out2, _ = run(capsys, *args)
+    assert code == 0
+    assert out1 == out2
+    # the recomputed result is stored under the current version
+    lines = cache.read_text().splitlines()
+    assert len(lines) == 2
+    assert json.loads(lines[1])["tool_version"] == TOOL_VERSION
+    _, doc, _ = run_json(capsys, "cache", "--cache", str(cache))
+    assert [e["tool_version"] for e in doc["entries"]] == ["0.0.0", TOOL_VERSION]
 
 
 # ---------------------------------------------------------------------------

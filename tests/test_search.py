@@ -1,19 +1,22 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
 import pytest
 
 from fanram.colorings import TwoColoring, check_free, lemma27_construction, thm17_construction
 from fanram.errors import BadParam, BudgetExhausted, PreconditionViolated, RangeError
+from fanram.graph6 import encode
 from fanram.graphs import complete, from_edges, is_connected
-from fanram.patterns import contains_target, parse_target
+from fanram.patterns import _contains_rows, contains_target, parse_target
 from fanram.search import (
     SearchConfig,
     SearchStats,
     _as_pattern,
     _CapTable,
     _free_coloring_dfs,
+    _new_containment,
     exists_free_coloring,
     packing_property_check,
     ramsey_number,
@@ -151,23 +154,48 @@ def test_exists_budget_raises():
     assert exc.value.stats.nodes > 100
 
 
-def test_search_determinism_across_thread_hints():
-    r1 = ramsey_number("K3", "K3", 3, 8, SearchConfig(thread_count_hint=1))
-    r8 = ramsey_number("K3", "K3", 3, 8, SearchConfig(thread_count_hint=8))
-    assert r1.value == r8.value
-    assert r1.witness == r8.witness
-    assert r1.stats == r8.stats
+def test_deep_search_needs_no_frame_per_edge():
+    # K46 has 1035 edges, more than the interpreter allows frames; no
+    # 2-coloring of 46 vertices holds a matching of 30 edges, so the first
+    # all-red branch is free and costs one node per edge
+    stats = SearchStats()
+    w = exists_free_coloring(
+        complete(46), "M:30", "M:30", SearchConfig(node_budget=5000), _stats=stats
+    )
+    assert w is not None and check_free(w, "M:30", "M:30").valid
+    assert stats.nodes == 1035
 
 
-def test_debug_recheck_mode():
-    res = ramsey_number("K3", "K3", 3, 6, SearchConfig(debug_recheck=True))
-    assert res.value == 6
+C4 = "G6:" + encode(from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
 
 
-def test_iso_rejection_depths_agree():
-    for depth in (0, 1, 2):
-        res = ramsey_number("K3", "K3", 3, 8, SearchConfig(iso_rejection_depth=depth))
-        assert res.value == 6, depth
+@pytest.mark.parametrize("target", ["K4", "F:2,2", "F:3,2", "M:3", "2xF:2,1", C4])
+def test_anchored_containment_matches_full_check(target):
+    # seeded random colorings of K9 built edge by edge: while the class that
+    # receives the edge was free before it, the check anchored at that edge
+    # must agree with the full one
+    t = _as_pattern(target)
+    rng = random.Random(11)
+    n = 9
+    edges = list(combinations(range(n), 2))
+    checked = hits = 0
+    for _ in range(30):
+        rng.shuffle(edges)
+        p_red = rng.random()
+        rows = ([0] * n, [0] * n)
+        free = [True, True]
+        for u, v in edges:
+            c = 0 if rng.random() < p_red else 1
+            cls = rows[c]
+            cls[u] |= 1 << v
+            cls[v] |= 1 << u
+            if free[c]:
+                full = _contains_rows(cls, n, t) is not None
+                assert _new_containment(cls, n, t, u, v) == full, (u, v)
+                free[c] = not full
+                checked += 1
+                hits += full
+    assert 0 < hits < checked
 
 
 def test_star_critical_k3_k3():
@@ -177,6 +205,8 @@ def test_star_critical_k3_k3():
     assert w.host.order == 6
     assert w.host.degree(5) == 4  # the star vertex carries 4 edges
     assert check_free(w, "K3", "K3").valid
+    # the extension bound is checked when a level is entered, not on return
+    assert res.stats.nodes == 52
 
 
 def test_star_critical_fan_alias():
@@ -227,13 +257,13 @@ def test_ramsey_seeds_from_construction_one_order_below_lo():
 
 def _plain_first(order: int, red, blue):
     stats = SearchStats()
-    return next(_free_coloring_dfs(complete(order), red, blue, SearchConfig(), stats, False, None), None)
+    return next(_free_coloring_dfs(complete(order), red, blue, SearchConfig(), stats, None), None)
 
 
 def _all_free(order: int, red, blue, windowed: bool) -> set:
     cfg, stats = SearchConfig(), SearchStats()
     caps = _CapTable(cfg, stats) if windowed else None
-    return set(_free_coloring_dfs(complete(order), red, blue, cfg, stats, True, caps))
+    return set(_free_coloring_dfs(complete(order), red, blue, cfg, stats, caps))
 
 
 @pytest.mark.parametrize(
