@@ -30,14 +30,6 @@ class ResultRecord:
     tool_version: str = TOOL_VERSION
     timestamp: float = field(default_factory=time.time)
 
-    def key(self) -> tuple:
-        return (
-            self.kind,
-            self.red_target,
-            self.blue_target,
-            json.dumps(self.params, sort_keys=True),
-        )
-
 
 _FIELDS = (
     "kind",

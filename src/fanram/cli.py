@@ -26,6 +26,7 @@ from .colorings import (
 )
 from .errors import CorruptRecord, FanramError, RangeError
 from .graph6 import encode
+from .graphs import complete
 from .patterns import format_target, parse_target, pattern_graph
 
 REPORT_FORMAT = "fanram-report-1"
@@ -105,19 +106,47 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _backs(kind: str, cert_obj: dict, cert: Certificate, value, params: dict) -> bool:
+    """Whether a re-validated certificate backs the cached record holding
+    it: the same coloring for check-free; a free coloring of K_{value-1} for
+    ramsey; for star, a free coloring of order r whose last vertex has
+    degree value-1 and whose other vertices span a complete graph."""
+    if kind == "certificate":
+        return (cert_obj["host"], cert_obj["red"]) == (params["host"], params["red"])
+    if not cert.valid or not isinstance(value, int):
+        return False
+    host = cert.coloring.host
+    if kind == "ramsey":
+        return host.order == value - 1 and host == complete(host.order)
+    r = params["r"]
+    return (
+        host.order == r
+        and host.degree(r - 1) == value - 1
+        and host.size() == (r - 1) * (r - 2) // 2 + value - 1
+    )
+
+
 def _replay(path: str, kind: str, red: str, blue: str, params: dict) -> dict | None:
-    """Newest matching cache record whose embedded certificate still
-    re-validates; failures warn and count as a miss."""
+    """Newest matching cache record whose embedded certificate re-validates,
+    is about the same targets, and backs the record (see _backs); anything
+    else warns and counts as a miss."""
     rec = cache_lookup(path, kind, red, blue, params)
     if rec is None:
         return None
     cert_obj = rec.artifact.get("certificate") or rec.artifact.get("witness")
-    if cert_obj is not None:
-        try:
-            load_certificate(json.dumps(cert_obj))
-        except CorruptRecord as exc:
-            _warn(f"cached record failed re-validation, recomputing: {exc}")
-            return None
+    try:
+        cert = load_certificate(json.dumps(cert_obj))
+    except CorruptRecord as exc:
+        _warn(f"cached record failed re-validation, recomputing: {exc}")
+        return None
+    value = rec.artifact.get("value")
+    if (
+        (format_target(cert.red_target), format_target(cert.blue_target)) != (red, blue)
+        or rec.value != value
+        or not _backs(kind, cert_obj, cert, value, params)
+    ):
+        _warn(f"cached {kind} record is not backed by its certificate, recomputing")
+        return None
     return rec.artifact
 
 
@@ -306,7 +335,9 @@ def _finish_search(
         return 1
     doc = _search_report(command, args, result, params)
     _emit(doc)
-    if cache_file and result.status == "exact":
+    # a value without a witness (r = 1, or a star value of 0) could never
+    # pass _backs on replay, so it is not stored
+    if cache_file and result.status == "exact" and result.witness is not None:
         cache_store(
             cache_file,
             ResultRecord(
@@ -501,13 +532,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FanramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, FanramError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,6 @@ from .graphs import (
 from .patterns import (
     EmbeddingWitness,
     TargetPattern,
-    _pack_iter,
     format_target,
     parse_target,
     witness_valid,
@@ -128,19 +127,13 @@ def load_certificate(text: str) -> Certificate:
     recomputed verdicts and hash match the stored ones."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorruptRecord(f"certificate is not valid JSON: {exc}") from exc
-    try:
-        host = decode(doc["host"])
-        red = decode(doc["red"])
+        coloring = coloring_from_graphs(decode(doc["host"]), decode(doc["red"]))
         red_t = parse_target(doc["red_target"])
         blue_t = parse_target(doc["blue_target"])
         stored_hash = doc["content_hash"]
-    except (KeyError, Exception) as exc:  # noqa: BLE001 - any defect is corruption here
-        if isinstance(exc, CorruptRecord):
-            raise
-        raise CorruptRecord(f"certificate fields unreadable: {exc}") from exc
-    cert = check_free(coloring_from_graphs(host, red), red_t, blue_t)
+    except Exception as exc:  # noqa: BLE001 - any defect is corruption here
+        raise CorruptRecord(f"certificate unreadable: {exc}") from exc
+    cert = check_free(coloring, red_t, blue_t)
     if cert.content_hash != stored_hash:
         raise CorruptRecord("certificate hash mismatch after re-validation")
     return cert
@@ -264,8 +257,8 @@ def verify_lemma24(coloring: TwoColoring, n: int) -> tuple[VertexSet, VertexSet]
     cert = check_free(coloring, patterns.Clique(3), patterns.Fan(4, n))
     if not cert.valid:
         raise PreconditionViolated("coloring is not free for (K3, F:4,n)")
-    blue = coloring.blue_graph()
-    for packing in _pack_iter(blue.rows, (1 << blue.order) - 1, 4 * n, 2, 0):
-        first, second = packing
-        return frozenset(first), frozenset(second)
-    raise StructureNotFound("no two disjoint blue cliques of the required size")
+    w = patterns.kt_packing(coloring.blue_graph(), 4 * n, 2)
+    if w is None:
+        raise StructureNotFound("no two disjoint blue cliques of the required size")
+    first, second = w.groups
+    return frozenset(first), frozenset(second)

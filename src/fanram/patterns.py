@@ -4,6 +4,16 @@ A target is what a search forbids on one color class: a clique, a generalized
 fan, a matching, disjoint copies of a connected pattern, or an explicit graph.
 All oracles are exact and deterministic: candidate vertices are always tried
 in ascending index order, so the first witness found is reproducible.
+
+Three kernels check every kind. Cliques: one branch-and-bound,
+_clique_search, which the clique and independence numbers also ascend.
+Matchings: Edmonds' blossom algorithm. Everything else is a packing:
+_packings yields k disjoint embeddings of a connected pattern with copies
+ordered by ascending first vertex (a clique's lowest vertex, a fan's
+center, an explicit pattern's image of vertex 0), so no family is found
+twice in another order. A fan F:t,n is a center plus a packing of n t-cliques
+in its neighborhood; disjoint copies are a packing of the inner pattern,
+searched one connected component at a time.
 """
 
 from __future__ import annotations
@@ -244,33 +254,13 @@ def _clique_search(rows, avail: int, m: int) -> tuple[int, ...] | None:
     return None
 
 
-def _max_clique(rows, avail: int) -> tuple[int, ...]:
-    best: list[int] = []
-
-    def expand(cur: list[int], cand: int):
-        nonlocal best
-        if len(cur) > len(best):
-            best = cur.copy()
-        if not cand:
-            return
-        need = len(best) - len(cur) + 1
-        if cand.bit_count() < need:
-            return
-        if _greedy_bound(rows, cand, need) < need:
-            return
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            cur.append(v)
-            expand(cur, rest & rows[v])
-            cur.pop()
-            if len(cur) + rest.bit_count() <= len(best):
-                return
-
-    expand([], avail)
-    return tuple(best)
+def _clique_number_rows(rows, n: int) -> int:
+    """Clique number: ascend _clique_search until a size has no clique."""
+    full = (1 << n) - 1
+    m = 0
+    while _clique_search(rows, full, m + 1) is not None:
+        m += 1
+    return m
 
 
 def _cliques_iter(rows, avail: int, t: int, min_v: int) -> Iterator[tuple[int, ...]]:
@@ -295,53 +285,58 @@ def _cliques_iter(rows, avail: int, t: int, min_v: int) -> Iterator[tuple[int, .
     yield from extend([], start)
 
 
-def _pack_iter(rows, avail: int, t: int, k: int, min_v: int) -> Iterator[list[tuple[int, ...]]]:
-    """All families of k disjoint t-cliques within avail, copies ordered by
-    ascending lowest vertex starting at min_v."""
-    if k == 0:
-        yield []
-        return
-    if avail.bit_count() < k * t:
-        return
-    for cl in _cliques_iter(rows, avail, t, min_v):
-        rest_avail = avail & ~mask_of(cl)
-        for rest in _pack_iter(rows, rest_avail, t, k - 1, cl[0] + 1):
-            yield [cl] + rest
+def _fans_iter(rows, avail: int, fan: Fan, low: int) -> Iterator[tuple[int, ...]]:
+    """All fan embeddings within avail with center >= low, as the center
+    followed by the blades' vertices; the blades are a packing of the
+    center's neighborhood."""
+    t = fan.t
+    for c in bits(avail >> low << low):
+        for blades in _packings(rows, avail & rows[c], _cliques_iter, t, t, fan.n):
+            yield (c,) + tuple(v for cl in blades for v in cl)
 
 
-def _fan_iter(rows, avail: int, t: int, n: int, min_center: int) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """All fan embeddings within avail with center >= min_center, lazily."""
-    centers = avail & ~((1 << min_center) - 1) if min_center else avail
-    for c in bits(centers):
-        for packing in _pack_iter(rows, avail & rows[c], t, n, 0):
-            yield c, packing
-
-
-def _embed_iter(rows, pat: Graph, avail: int) -> Iterator[list[int]]:
+def _embed_iter(rows, avail: int, pat: Graph, low: int) -> Iterator[tuple[int, ...]]:
     """All injective maps of pat into the host (subgraph, not induced),
-    restricted to avail, pattern vertices mapped in label order."""
+    restricted to avail, pattern vertices mapped in label order and vertex 0
+    to a host vertex >= low."""
     p = pat.order
     degs = [r.bit_count() for r in pat.rows]
     mapping = [-1] * p
-    state = {"used": 0}
 
-    def rec(i: int):
+    def rec(i: int, used: int):
         if i == p:
-            yield mapping.copy()
+            yield tuple(mapping)
             return
-        cand = avail & ~state["used"]
+        cand = avail & ~used if i else avail >> low << low
         for pj in bits(pat.rows[i] & ((1 << i) - 1)):
             cand &= rows[mapping[pj]]
         for v in bits(cand):
             if rows[v].bit_count() < degs[i]:
                 continue
             mapping[i] = v
-            state["used"] |= 1 << v
-            yield from rec(i + 1)
-            state["used"] &= ~(1 << v)
-            mapping[i] = -1
+            yield from rec(i + 1, used | 1 << v)
 
-    yield from rec(0)
+    yield from rec(0, 0)
+
+
+def _packings(rows, avail: int, embed, pat, size: int, k: int, low: int = 0):
+    """All families of k disjoint embeddings of a connected pattern within
+    avail, copies ordered by ascending first vertex, the first at least low.
+
+    embed(rows, avail, pat, low) yields each embedding of the pattern
+    (pat is its parameter) as a tuple of size host vertices whose first
+    vertex is >= low: _cliques_iter (lowest vertex), _fans_iter (center) or
+    _embed_iter (image of vertex 0).
+    """
+    if k == 0:
+        yield []
+        return
+    if avail.bit_count() < k * size:
+        return
+    for emb in embed(rows, avail, pat, low):
+        rest_avail = avail & ~mask_of(emb)
+        for rest in _packings(rows, rest_avail, embed, pat, size, k - 1, emb[0] + 1):
+            yield [emb] + rest
 
 
 def _max_matching_rows(rows, n: int) -> list[tuple[int, int]]:
@@ -430,23 +425,18 @@ def _max_matching_rows(rows, n: int) -> list[tuple[int, int]]:
 
 def contains_clique(g: Graph, m: int) -> EmbeddingWitness | None:
     """First m-clique of g in ascending vertex order, if any."""
-    if m < 1:
-        raise BadParam("clique size must be positive")
-    hit = _clique_search(g.rows, (1 << g.order) - 1, m)
-    if hit is None:
-        return None
-    return EmbeddingWitness(m, (hit,))
+    return contains_target(g, Clique(m))
 
 
 def clique_number(g: Graph) -> int:
-    return len(_max_clique(g.rows, (1 << g.order) - 1))
+    return _clique_number_rows(g.rows, g.order)
 
 
 def independence_number(g: Graph) -> int:
     """Size of a largest independent set (clique number of the complement)."""
     full = (1 << g.order) - 1
     comp_rows = tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.rows))
-    return len(_max_clique(comp_rows, full))
+    return _clique_number_rows(comp_rows, g.order)
 
 
 def max_matching(g: Graph) -> EmbeddingWitness:
@@ -459,7 +449,7 @@ def kt_packing(g: Graph, t: int, n: int) -> EmbeddingWitness | None:
     """n pairwise-disjoint t-cliques, copies ordered by lowest vertex."""
     if t < 1 or n < 1:
         raise BadParam("packing parameters must be positive")
-    for packing in _pack_iter(g.rows, (1 << g.order) - 1, t, n, 0):
+    for packing in _packings(g.rows, (1 << g.order) - 1, _cliques_iter, t, t, n):
         return EmbeddingWitness(t * n, tuple(packing))
     return None
 
@@ -467,78 +457,7 @@ def kt_packing(g: Graph, t: int, n: int) -> EmbeddingWitness | None:
 def contains_fan(g: Graph, t: int, n: int) -> EmbeddingWitness | None:
     """First fan embedding: centers tried ascending, blades packed within the
     center's neighborhood in ascending order."""
-    if t < 1 or n < 1:
-        raise BadParam("fan parameters must be positive")
-    for c, packing in _fan_iter(g.rows, (1 << g.order) - 1, t, n, 0):
-        return EmbeddingWitness(t * n + 1, ((c,),) + tuple(packing))
-    return None
-
-
-def _copy_embeddings(rows, inner: TargetPattern, avail: int, low_key: int):
-    """Embeddings of a connected inner pattern within avail as (key, mapping)
-    pairs; key is the canonical ordering handle between successive copies."""
-    if isinstance(inner, Clique):
-        for cl in _cliques_iter(rows, avail, inner.size, low_key):
-            yield cl[0], cl
-    elif isinstance(inner, Fan):
-        for c, packing in _fan_iter(rows, avail, inner.t, inner.n, low_key):
-            yield c, (c,) + tuple(v for cl in packing for v in cl)
-    else:
-        # explicit inner: no between-copy canonical order, so low_key is unused
-        for mp in _embed_iter(rows, inner.graph, avail):
-            yield 0, tuple(mp)
-
-
-def _pack_copies(rows, avail: int, inner: TargetPattern, k: int, p: int):
-    if k == 0:
-        return []
-    if avail.bit_count() < k * p:
-        return None
-
-    def rec(cur_avail: int, need: int, low_key: int):
-        if need == 0:
-            return []
-        if cur_avail.bit_count() < need * p:
-            return None
-        for key, flat in _copy_embeddings(rows, inner, cur_avail, low_key):
-            rest = rec(cur_avail & ~mask_of(flat), need - 1, key + 1)
-            if rest is not None:
-                return [flat] + rest
-        return None
-
-    return rec(avail, k, 0)
-
-
-def _copies_rows(rows, n: int, count: int, inner: TargetPattern) -> EmbeddingWitness | None:
-    if count < 1:
-        raise BadParam("copy count must be positive")
-    inner = normalize_pattern(inner)
-    if isinstance(inner, (Matching, Copies)):
-        raise BadParam("inner pattern of copies must be connected")
-    if isinstance(inner, Explicit) and (
-        inner.graph.order == 0 or not is_connected(inner.graph)
-    ):
-        raise BadParam("inner pattern of copies must be connected")
-    p = pattern_order(inner)
-    remaining = count
-    groups: list[tuple[int, ...]] = []
-    for comp in components_rows(rows, n):
-        if remaining == 0:
-            break
-        cap = comp.bit_count() // p
-        if cap == 0:
-            continue
-        k = min(cap, remaining)
-        while k >= 1:
-            found = _pack_copies(rows, comp, inner, k, p)
-            if found is not None:
-                groups.extend(found)
-                remaining -= k
-                break
-            k -= 1
-    if remaining:
-        return None
-    return EmbeddingWitness(count * p, tuple(groups))
+    return contains_target(g, Fan(t, n))
 
 
 def contains_copies(g: Graph, count: int, inner: TargetPattern) -> EmbeddingWitness | None:
@@ -548,15 +467,47 @@ def contains_copies(g: Graph, count: int, inner: TargetPattern) -> EmbeddingWitn
     component: a component of c vertices holds at most c // order(inner)
     copies, and components contribute independently.
     """
-    return _copies_rows(g.rows, g.order, count, inner)
+    return contains_target(g, Copies(count, inner))
+
+
+def _copies_rows(rows, n: int, target: Copies) -> EmbeddingWitness | None:
+    inner = target.inner
+    p = pattern_order(inner)
+    if isinstance(inner, Clique):
+        embed, pat = _cliques_iter, inner.size
+    elif isinstance(inner, Fan):
+        embed, pat = _fans_iter, inner
+    else:
+        embed, pat = _embed_iter, inner.graph
+    remaining = target.count
+    groups: list[tuple[int, ...]] = []
+    for comp in components_rows(rows, n):
+        if remaining == 0:
+            break
+        k = min(comp.bit_count() // p, remaining)
+        while k >= 1:
+            found = next(_packings(rows, comp, embed, pat, p, k), None)
+            if found is not None:
+                groups.extend(found)
+                remaining -= k
+                break
+            k -= 1
+    if remaining:
+        return None
+    return EmbeddingWitness(target.count * p, tuple(groups))
 
 
 def _contains_rows(rows, n: int, target: TargetPattern) -> EmbeddingWitness | None:
+    if isinstance(target, Copies):
+        inner = normalize_pattern(target.inner)
+        if isinstance(inner, (Matching, Copies)) or isinstance(inner, Explicit) and (
+            inner.graph.order == 0 or not is_connected(inner.graph)
+        ):
+            raise BadParam("inner pattern of copies must be connected")
     t = normalize_pattern(target)
+    full = (1 << n) - 1
     if isinstance(t, Clique):
-        if t.size < 1:
-            raise BadParam("clique size must be positive")
-        hit = _clique_search(rows, (1 << n) - 1, t.size)
+        hit = _clique_search(rows, full, t.size)
         return None if hit is None else EmbeddingWitness(t.size, (hit,))
     if isinstance(t, Matching):
         pairs = _max_matching_rows(rows, n)
@@ -564,23 +515,25 @@ def _contains_rows(rows, n: int, target: TargetPattern) -> EmbeddingWitness | No
             return None
         return EmbeddingWitness(2 * t.size, tuple(pairs[: t.size]))
     if isinstance(t, Fan):
-        for c, packing in _fan_iter(rows, (1 << n) - 1, t.t, t.n, 0):
-            return EmbeddingWitness(t.t * t.n + 1, ((c,),) + tuple(packing))
+        for emb in _fans_iter(rows, full, t, 0):
+            blades = tuple(emb[i:i + t.t] for i in range(1, len(emb), t.t))
+            return EmbeddingWitness(len(emb), ((emb[0],),) + blades)
         return None
     if isinstance(t, Copies):
-        return _copies_rows(rows, n, t.count, t.inner)
+        return _copies_rows(rows, n, t)
     pat = t.graph
     if pat.order == 0:
         return EmbeddingWitness(0, ((),))
     if pat.order > n:
         return None
-    for mp in _embed_iter(rows, pat, (1 << n) - 1):
-        return EmbeddingWitness(pat.order, (tuple(mp),))
+    for mp in _embed_iter(rows, full, pat, 0):
+        return EmbeddingWitness(pat.order, (mp,))
     return None
 
 
 def contains_target(g: Graph, target: TargetPattern) -> EmbeddingWitness | None:
-    """Dispatch to the specialized oracle for each pattern kind."""
+    """Dispatch to the specialized oracle for each pattern kind. The inner
+    pattern of copies must be connected (BadParam otherwise)."""
     return _contains_rows(g.rows, g.order, target)
 
 

@@ -59,9 +59,10 @@ from .patterns import (
     Matching,
     TargetPattern,
     _clique_search,
+    _cliques_iter,
     _contains_rows,
     _max_matching_rows,
-    _pack_iter,
+    _packings,
     kt_packing,
     normalize_pattern,
     parse_target,
@@ -136,10 +137,9 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
             return True
         return _clique_search(rows, rows[u] & rows[v], m - 2) is not None
     if isinstance(target, Fan):
-        common = rows[u] & rows[v]
-        centers = [u, v] + list(bits(common))
-        for c in centers:
-            for _ in _pack_iter(rows, rows[c], target.t, target.n, 0):
+        t = target.t
+        for c in [u, v] + list(bits(rows[u] & rows[v])):
+            for _ in _packings(rows, rows[c], _cliques_iter, t, t, target.n):
                 return True
         return False
     if isinstance(target, Matching):

@@ -333,6 +333,71 @@ def test_cache_corrupt_certificate_recomputes(tmp_path, capsys):
     assert "re-validation" in err
 
 
+def test_cache_damaged_coloring_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = [
+        "ramsey", "--red", "M:2", "--blue", "F:2,1",
+        "--lo", "3", "--hi", "8", "--cache", str(cache),
+    ]
+    _, out1, _ = run(capsys, *args)
+    rec = json.loads(cache.read_text())
+    rec["artifact"]["witness"]["host"] = "C?"  # edgeless K4 host: red edges fall outside
+    cache.write_text(json.dumps(rec) + "\n")
+    code, out2, err = run(capsys, *args)
+    assert code == 0
+    assert out1 == out2
+    assert "re-validation" in err
+
+
+@pytest.mark.parametrize("args, value", [
+    (["ramsey", "--red", "M:2", "--blue", "F:2,1", "--lo", "3", "--hi", "8"], 4),
+    (["ramsey", "--red", "M:2", "--blue", "F:2,1", "--lo", "3", "--hi", "8"], 6),
+    (["star", "--red", "K3", "--blue", "K3", "--r", "6"], 4),
+])
+def test_cache_value_must_match_witness(tmp_path, capsys, args, value):
+    cache = tmp_path / "cache.jsonl"
+    args = args + ["--cache", str(cache)]
+    _, out1, _ = run(capsys, *args)
+    rec = json.loads(cache.read_text())
+    assert rec["value"] != value
+    rec["value"] = rec["artifact"]["value"] = value
+    cache.write_text(json.dumps(rec) + "\n")
+    code, out2, err = run(capsys, *args)
+    assert code == 0
+    assert out1 == out2  # recomputed, not the edited value
+    assert "not backed by its certificate" in err
+    assert len(cache.read_text().splitlines()) == 2
+
+
+def test_cache_skips_values_without_witness(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = ["ramsey", "--red", "K1", "--blue", "K3", "--lo", "1", "--hi", "3"]
+    for _ in range(2):
+        code, doc, err = run_json(capsys, *args, "--cache", str(cache))
+        assert code == 0 and doc["value"] == 1 and doc["witness"] is None
+        assert err == ""
+    assert not cache.exists()
+
+
+def test_cache_certificate_record_without_certificate(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    out_file = tmp_path / "c.fr2"
+    run(
+        capsys,
+        "construct", "--family", "lemma27",
+        "--s", "2", "--t", "2", "--n", "1", "--out", str(out_file),
+    )
+    args = ["check-free", "--file", str(out_file), "--cache", str(cache)]
+    _, out1, _ = run(capsys, *args)
+    rec = json.loads(cache.read_text())
+    del rec["artifact"]["certificate"]
+    cache.write_text(json.dumps(rec) + "\n")
+    code, out2, err = run(capsys, *args)
+    assert code == 0
+    assert out1 == out2
+    assert "re-validation" in err
+
+
 def test_cache_certificate_records(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     out_file = tmp_path / "c.fr2"

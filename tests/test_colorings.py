@@ -16,6 +16,7 @@ from fanram.colorings import (
     thm17_construction,
     verify_lemma24,
 )
+from fanram.graph6 import encode
 from fanram.errors import BadParam, CorruptRecord, OrderCap, PreconditionViolated, StructureNotFound
 from fanram.graphs import (
     complement,
@@ -23,6 +24,7 @@ from fanram.graphs import (
     complete_multipartite,
     components,
     copies,
+    empty_graph,
     from_edges,
     induced,
     is_connected,
@@ -247,6 +249,18 @@ def test_load_certificate_rejects_corruption():
     doc["content_hash"] = "0" * 64
     with pytest.raises(CorruptRecord):
         load_certificate(json.dumps(doc))
+
+
+def test_load_certificate_bad_coloring_is_corruption():
+    doc = json.loads(serialize_certificate(
+        check_free(lemma27_construction(2, 2, 1), "M:2", "F:2,1")
+    ))
+    doc["host"] = encode(empty_graph(4))  # the stored red edges leave the host
+    with pytest.raises(CorruptRecord, match="not in the host"):
+        load_certificate(json.dumps(doc))
+    for broken in ([], None, {"host": 5}):
+        with pytest.raises(CorruptRecord):
+            load_certificate(json.dumps(broken))
 
 
 def test_certificate_embeds_witness_when_not_free():

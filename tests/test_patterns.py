@@ -206,6 +206,25 @@ def test_kt_packing_examples():
     assert kt_packing(graph_copies(2, complete(3)), 3, 3) is None
     w = kt_packing(complete(6), 3, 2)
     assert w.groups == ((0, 1, 2), (3, 4, 5))
+    # first witnesses are pinned: certificates hash them, so a change of the
+    # search order would change stored certificates
+    g = random_graph(random.Random(7), 11, 0.6)
+    assert kt_packing(g, 3, 2).groups == ((0, 1, 2), (3, 5, 6))
+    assert contains_fan(g, 2, 2).groups == ((0,), (1, 2), (4, 5))
+    assert contains_fan(g, 3, 2).groups == ((0,), (1, 2, 7), (4, 5, 6))
+    assert contains_copies(g, 2, Fan(2, 1)).groups == ((0, 1, 2), (3, 5, 6))
+    p3 = Explicit(path_graph(3))
+    assert contains_copies(g, 3, p3).groups == ((0, 1, 2), (3, 5, 4), (6, 7, 8))
+    assert contains_copies(g, 2, Explicit(cycle_graph(4))).groups == (
+        (0, 1, 2, 5), (3, 6, 4, 8)
+    )
+    k34 = complete_multipartite([3, 4])
+    assert contains_copies(k34, 2, p3).groups == ((0, 3, 1), (4, 2, 5))
+    assert contains_copies(k34, 3, p3) is None
+    # only the image of vertex 0 is ordered: the second copy must use vertex
+    # 0, below the first copy's start
+    h = from_edges(6, [(0, 2), (0, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
+    assert contains_copies(h, 2, p3).groups == ((1, 4, 5), (2, 0, 3))
 
 
 def test_contains_fan_examples():
@@ -296,8 +315,9 @@ def test_specialized_agrees_with_oracle():
     pats = [
         Clique(2), Clique(3), Clique(4),
         Matching(1), Matching(2), Matching(3),
-        Fan(2, 1), Fan(2, 2), Fan(3, 1),
+        Fan(2, 1), Fan(2, 2), Fan(3, 1), Fan(3, 2),
         copies_pattern(2, Clique(2)), copies_pattern(2, Clique(3)),
+        copies_pattern(2, Fan(2, 1)), copies_pattern(2, Explicit(path_graph(3))),
     ]
     for trial in range(120):
         g = random_graph(rng, rng.randrange(2, 9), rng.uniform(0.15, 0.9))

@@ -1,0 +1,45 @@
+"""The benchmark's tracer patches fanram names from outside; a refactor that
+drops or renames one of them must fail here, not only under bench/run.py."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import json
+import os
+
+MODULES = ("cli", "search", "patterns", "colorings", "graphs", "graph6", "io", "cache")
+TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("fanram_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls_on_fanram(capsys):
+    modules = {name: importlib.import_module(f"fanram.{name}") for name in MODULES}
+    before = {name: dict(vars(m)) for name, m in modules.items()}
+    graph_init = modules["graphs"].Graph.__post_init__
+    tracer = _load_tracing().Tracer(modules)
+    tracer.install()
+    try:
+        assert modules["search"]._new_containment is not before["search"]["_new_containment"]
+        assert modules["patterns"].contains_target is not before["patterns"]["contains_target"]
+        code = modules["cli"].main(
+            ["ramsey", "--red", "K3", "--blue", "F:2,1", "--lo", "3", "--hi", "8"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 6  # F:2,1 is K3
+    finally:
+        tracer.uninstall()
+    snap = tracer.snapshot()
+    assert snap["cli.main.calls"] == 1
+    assert snap["search.nodes"] > 0
+    assert snap["patterns.anchored.fan.calls"] > 0
+    for name, m in modules.items():
+        for attr, value in before[name].items():
+            assert vars(m)[attr] is value, f"{name}.{attr} not restored"
+    assert modules["graphs"].Graph.__post_init__ is graph_init
