@@ -227,6 +227,8 @@ def _cmd_check_free(args) -> int:
     if cache_file:
         stored = _replay(cache_file, "certificate", red_c, blue_c, params)
         if stored is not None:
+            # records are keyed on the coloring, not the file: report this one
+            stored["file"] = args.file
             _emit(stored)
             return 0 if stored["certificate"]["red_witness"] is None and stored[
                 "certificate"

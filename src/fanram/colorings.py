@@ -31,10 +31,6 @@ from . import patterns
 CERT_FORMAT = "fanram-certificate-1"
 
 
-def _norm_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class TwoColoring:
     """A red/blue edge partition of a host graph. Edges not in `red` are blue."""
@@ -88,14 +84,6 @@ def _witness_obj(w: EmbeddingWitness | None):
     if w is None:
         return None
     return {"pattern_order": w.pattern_order, "groups": [list(g) for g in w.groups]}
-
-
-def _witness_from_obj(obj) -> EmbeddingWitness | None:
-    if obj is None:
-        return None
-    return EmbeddingWitness(
-        obj["pattern_order"], tuple(tuple(g) for g in obj["groups"])
-    )
 
 
 def certificate_payload(cert: Certificate) -> dict:

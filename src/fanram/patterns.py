@@ -13,7 +13,13 @@ ordered by ascending first vertex (a clique's lowest vertex, a fan's
 center, an explicit pattern's image of vertex 0), so no family is found
 twice in another order. A fan F:t,n is a center plus a packing of n t-cliques
 in its neighborhood; disjoint copies are a packing of the inner pattern,
-searched one connected component at a time.
+searched one connected component at a time. The blades of F:2,n are a
+matching, so a center whose neighborhood has matching number below n is
+skipped before its packings are tried (_matching_at_least).
+
+The coloring search also uses anchored kernels: _fans_through yields the fan
+embeddings that map a pattern edge to a given host edge, and _copies_through
+looks for disjoint copies one of which does.
 """
 
 from __future__ import annotations
@@ -288,11 +294,63 @@ def _cliques_iter(rows, avail: int, t: int, min_v: int) -> Iterator[tuple[int, .
 def _fans_iter(rows, avail: int, fan: Fan, low: int) -> Iterator[tuple[int, ...]]:
     """All fan embeddings within avail with center >= low, as the center
     followed by the blades' vertices; the blades are a packing of the
-    center's neighborhood."""
+    center's neighborhood. The blades of F:2,n are a matching, so a center
+    whose neighborhood has fewer than n disjoint edges is skipped unpacked."""
     t = fan.t
+    gate = t == 2 and fan.n > 1
     for c in bits(avail >> low << low):
-        for blades in _packings(rows, avail & rows[c], _cliques_iter, t, t, fan.n):
+        around = avail & rows[c]
+        if gate and not _matching_at_least(rows, around, fan.n):
+            continue
+        for blades in _packings(rows, around, _cliques_iter, t, t, fan.n):
             yield (c,) + tuple(v for cl in blades for v in cl)
+
+
+def _fans_through(rows, fan: Fan, u: int, v: int) -> Iterator[tuple[int, ...]]:
+    """All embeddings of a fan that map a pattern edge to the host edge uv,
+    as in _fans_iter. Either the center is u (or v) and the blade through v
+    (or u) is that vertex plus a K_{t-1} in the common neighborhood, or the
+    center is a common neighbor c and one blade is u, v plus a K_{t-2} in
+    the common neighborhood of all three; n-1 more blades follow."""
+    t, n = fan.t, fan.n
+    common = rows[u] & rows[v]
+    starts = [(c, (x,), common) for c, x in ((u, v), (v, u))]
+    if t >= 2:
+        starts += [(c, (u, v), common & rows[c]) for c in bits(common)]
+    for c, ends, within in starts:
+        for rest in _cliques_iter(rows, within, t - len(ends), 0):
+            blade = ends + rest
+            avail = rows[c] & ~mask_of(blade)
+            for blades in _packings(rows, avail, _cliques_iter, t, t, n - 1):
+                yield (c,) + blade + tuple(w for cl in blades for w in cl)
+
+
+def _copies_through(rows, n: int, count: int, inner: Clique | Fan, u: int, v: int) -> bool:
+    """Whether count disjoint copies of a clique (of at least 2 vertices) or
+    a fan exist with one copy mapping a pattern edge to the host edge uv:
+    each such copy, taken once per vertex set, is completed by count-1 more
+    copies outside it."""
+    if isinstance(inner, Clique):
+        firsts = (
+            (u, v) + rest
+            for rest in _cliques_iter(rows, rows[u] & rows[v], inner.size - 2, 0)
+        )
+        embed, pat = _cliques_iter, inner.size
+    else:
+        firsts = _fans_through(rows, inner, u, v)
+        embed, pat = _fans_iter, inner
+    p = pattern_order(inner)
+    full = (1 << n) - 1
+    seen = set()
+    for emb in firsts:
+        used = mask_of(emb)
+        if used in seen:
+            continue
+        seen.add(used)
+        rest = _packings(rows, full & ~used, embed, pat, p, count - 1)
+        if next(rest, None) is not None:
+            return True
+    return False
 
 
 def _embed_iter(rows, avail: int, pat: Graph, low: int) -> Iterator[tuple[int, ...]]:
@@ -339,16 +397,48 @@ def _packings(rows, avail: int, embed, pat, size: int, k: int, low: int = 0):
             yield [emb] + rest
 
 
+def _matching_at_least(rows, avail: int, k: int) -> bool:
+    """Whether the subgraph induced by avail has k disjoint edges. Fewer
+    than 2k non-isolated vertices settle no, the greedy start of _blossom
+    settles most yes answers, and augmenting paths run only when the two
+    disagree."""
+    if avail.bit_count() < 2 * k:
+        return False
+    sub = [0] * len(rows)
+    touched = 0
+    for w in bits(avail):
+        row = rows[w] & avail
+        if row:
+            sub[w] = row
+            touched |= 1 << w
+    if touched.bit_count() < 2 * k:
+        return False
+    return _blossom(sub, len(rows), k)[1] >= k
+
+
 def _max_matching_rows(rows, n: int) -> list[tuple[int, int]]:
-    """Maximum matching via augmenting paths with blossom contraction."""
+    """Edges of a maximum matching, sorted."""
+    match = _blossom(rows, n)[0]
+    return sorted(
+        {(min(v, match[v]), max(v, match[v])) for v in range(n) if match[v] != -1}
+    )
+
+
+def _blossom(rows, n: int, limit: int | None = None) -> tuple[list[int], int]:
+    """Mates (-1 when exposed) and size of a maximum matching: a greedy
+    start, then augmenting paths with blossom contraction. With a limit,
+    stops once the matching has that many edges or can no longer reach it."""
     match = [-1] * n
+    free = (1 << n) - 1
+    size = 0
     for v in range(n):
-        if match[v] == -1:
-            for u in bits(rows[v]):
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
+        mates = rows[v] & free
+        if mates and free >> v & 1:
+            u = (mates & -mates).bit_length() - 1
+            match[v] = u
+            match[u] = v
+            free ^= 1 << v | 1 << u
+            size += 1
 
     def find_path(root: int) -> bool:
         p = [-1] * n
@@ -410,12 +500,20 @@ def _max_matching_rows(rows, n: int) -> list[tuple[int, int]]:
                     q.append(match[to])
         return False
 
+    # an exposed vertex with no augmenting path never gets one later, so each
+    # augmentation matches two exposed vertices not yet tried as roots
+    untried = sum(1 for v in range(n) if match[v] == -1 and rows[v])
     for root in range(n):
-        if match[root] == -1:
-            find_path(root)
-    return sorted(
-        {(min(v, match[v]), max(v, match[v])) for v in range(n) if match[v] != -1}
-    )
+        if match[root] != -1 or not rows[root]:
+            continue
+        if limit is not None and not size < limit <= size + untried // 2:
+            break
+        if find_path(root):
+            size += 1
+            untried -= 2
+        else:
+            untried -= 1
+    return match, size
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ Both searches run on one engine, _color_slots: an explicit-stack DFS that
 colors a list of edge slots in order, red branch first, so its depth is
 bounded by memory, not by the interpreter's frame limit. After each slot is
 colored, only containment through that edge is re-checked: every earlier
-partial coloring was verified clean, so any embedding present now must use
-the new edge. The Ramsey search passes the host edges in lexicographic
-order and needs every slot colored; the star extension passes the star
-edges (j, w) of a fresh vertex w, lets each slot also stay uncolored, and
-cuts a branch that cannot attach more edges than the best found so far.
-The search is sequential and deterministic.
+partial coloring was verified clean, so any embedding present now must map a
+pattern edge to the new edge. Every kind but explicit patterns is anchored
+there (_new_containment): cliques, fans and disjoint copies are looked for
+only through the edge, and a matching only as one edge fewer in the class
+without its endpoints. The Ramsey search passes the host edges in
+lexicographic order and needs every slot colored; the star extension passes
+the star edges (j, w) of a fresh vertex w, lets each slot also stay
+uncolored, and cuts a branch that cannot attach more edges than the best
+found so far. The search is sequential and deterministic.
 
 Degree windows. Cliques and fans are cones: K_m = K1 + K_{m-1} for m >= 2 and
 F:t,n = K1 + nK_t for t >= 2. If a vertex of a free coloring of K_N had red
@@ -59,10 +62,10 @@ from .patterns import (
     Matching,
     TargetPattern,
     _clique_search,
-    _cliques_iter,
     _contains_rows,
-    _max_matching_rows,
-    _packings,
+    _copies_through,
+    _fans_through,
+    _matching_at_least,
     kt_packing,
     normalize_pattern,
     parse_target,
@@ -126,25 +129,45 @@ def _as_pattern(t: TargetPattern | str) -> TargetPattern:
 def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> bool:
     """Containment check on one color class right after edge (u, v) was added.
 
-    Assumes the class without that edge was target-free, so detection may be
-    anchored at the edge: cliques need both endpoints, fans need a center in
-    {u, v} or their common neighborhood. Matchings, copies, and explicit
-    patterns fall back to a full check, which is equally sound.
+    Assumes the class without that edge was target-free, so any embedding
+    now maps a pattern edge to uv and detection is anchored there. Cliques
+    need K_{m-2} in the common neighborhood; F:t,1 is the clique K_{t+1}.
+    Fans need a center in {u, v} or the common neighborhood (_fans_through);
+    for t = 2 that center's neighborhood needs n disjoint edges.
+    M:s needs s-1 disjoint edges avoiding u and v. Copies of a clique or fan
+    need one copy through uv and count-1 more outside it. Explicit patterns
+    and their copies fall back to a full check, which is equally sound.
     """
+    target = _clique_form(target)
     if isinstance(target, Clique):
         m = target.size
         if m <= 2:
             return True
         return _clique_search(rows, rows[u] & rows[v], m - 2) is not None
     if isinstance(target, Fan):
-        t = target.t
-        for c in [u, v] + list(bits(rows[u] & rows[v])):
-            for _ in _packings(rows, rows[c], _cliques_iter, t, t, target.n):
-                return True
-        return False
+        if target.t == 2:
+            # F:2,n centered at c is n disjoint edges in N(c); uv joins one
+            # only through a common neighbor (its blade partner or center)
+            common = rows[u] & rows[v]
+            return bool(common) and any(
+                _matching_at_least(rows, rows[c], target.n) for c in (u, v, *bits(common))
+            )
+        return next(_fans_through(rows, target, u, v), None) is not None
     if isinstance(target, Matching):
-        return len(_max_matching_rows(rows, n)) >= target.size
+        avoid = ((1 << n) - 1) & ~(1 << u | 1 << v)
+        return _matching_at_least(rows, avoid, target.size - 1)
+    if isinstance(target, Copies):
+        inner = _clique_form(target.inner)
+        if isinstance(inner, Fan) or (isinstance(inner, Clique) and inner.size >= 2):
+            return _copies_through(rows, n, target.count, inner, u, v)
     return _contains_rows(rows, n, target) is not None
+
+
+def _clique_form(p: TargetPattern) -> TargetPattern:
+    """K_{t+1} for the fan F:t,1, which is that clique; p otherwise."""
+    if isinstance(p, Fan) and p.n == 1:
+        return Clique(p.t + 1)
+    return p
 
 
 def _iso_allows(rows_red, u: int, v: int, is_red: bool) -> bool:

@@ -295,6 +295,25 @@ def test_cache_store_and_replay(tmp_path, capsys):
     assert len(cache.read_text().splitlines()) == 2
 
 
+def test_cache_check_free_replay_names_the_file_asked_about(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    a, b = tmp_path / "a.fr2", tmp_path / "b.fr2"
+    run(
+        capsys,
+        "construct", "--family", "lemma27",
+        "--s", "2", "--t", "2", "--n", "2", "--out", str(a),
+    )
+    b.write_bytes(a.read_bytes())
+    _, out_a, _ = run(capsys, "check-free", "--file", str(a), "--cache", str(cache))
+    code, out_b, err = run(capsys, "check-free", "--file", str(b), "--cache", str(cache))
+    assert code == 0 and err == ""
+    assert json.loads(out_a)["file"] == str(a)
+    # the replay hit (one record) prints what a fresh check of b.fr2 prints
+    assert len(cache.read_text().splitlines()) == 1
+    assert out_b == run(capsys, "check-free", "--file", str(b))[1]
+    assert json.loads(out_b)["file"] == str(b)
+
+
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "envcache.jsonl"
     monkeypatch.setenv("FANRAM_CACHE", str(cache))

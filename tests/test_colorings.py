@@ -270,3 +270,16 @@ def test_certificate_embeds_witness_when_not_free():
     text = serialize_certificate(cert)
     again = load_certificate(text)
     assert again.red_witness == cert.red_witness
+
+
+def test_check_free_just_below_a_fan_is_fast():
+    # free colorings one edge away from a fan: every center's blue
+    # neighborhood has too few disjoint edges, which the fan check of F:2,n
+    # learns from a matching bound instead of trying every partial packing
+    c = thm17_construction(3, 1, 2, 8)
+    assert (0, 16) in c.red
+    near = TwoColoring(c.host, c.red - {(0, 16)})
+    assert check_free(near, "K3", "F:2,8").valid
+    c = lemma27_construction(30, 2, 10)
+    assert c.host.order == 69
+    assert check_free(c, "M:30", "F:2,10").valid

@@ -24,6 +24,7 @@ from fanram.patterns import (
     Explicit,
     Fan,
     Matching,
+    _matching_at_least,
     clique_number,
     contains_clique,
     contains_copies,
@@ -237,6 +238,23 @@ def test_contains_fan_examples():
     f = generalized_fan(4, 3)
     assert contains_fan(f, 4, 3) is not None
     assert contains_fan(f, 4, 4) is None
+
+
+def test_fan_matching_filter_keeps_first_witness():
+    # F:2,n centers are filtered by their neighborhood's matching number.
+    # Both neighborhoods below have four non-isolated vertices, and the greedy
+    # matching takes one edge (1-2 at center 0, 6-7 at center 5), so blossom
+    # decides: a star at center 0 (skipped), a path 8-6-7-9 at center 5
+    # (kept). Witnesses are those of the unfiltered packing search.
+    g = from_edges(10, [
+        (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
+        (5, 6), (5, 7), (5, 8), (5, 9), (6, 7), (6, 8), (7, 9),
+    ])
+    assert not _matching_at_least(g.rows, g.rows[0], 2)
+    assert _matching_at_least(g.rows, g.rows[5], 2)
+    assert contains_fan(g, 2, 2).groups == ((5,), (6, 8), (7, 9))
+    h = from_edges(5, [(0, 1), (0, 2), (1, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
+    assert contains_fan(h, 2, 2).groups == ((4,), (0, 2), (1, 3))
 
 
 def test_fan_witness_shape():

@@ -9,7 +9,7 @@ from fanram.colorings import TwoColoring, check_free, lemma27_construction, thm1
 from fanram.errors import BadParam, BudgetExhausted, PreconditionViolated, RangeError
 from fanram.graph6 import encode
 from fanram.graphs import complete, from_edges, is_connected
-from fanram.patterns import _contains_rows, contains_target, parse_target
+from fanram.patterns import _contains_rows, contains_target, parse_target, pattern_order
 from fanram.search import (
     SearchConfig,
     SearchStats,
@@ -167,16 +167,24 @@ def test_deep_search_needs_no_frame_per_edge():
 
 
 C4 = "G6:" + encode(from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+P3 = "G6:" + encode(from_edges(3, [(0, 1), (1, 2)]))
 
 
-@pytest.mark.parametrize("target", ["K4", "F:2,2", "F:3,2", "M:3", "2xF:2,1", C4])
+@pytest.mark.parametrize(
+    "target",
+    [
+        "K4", "F:1,3", "F:2,2", "F:2,3", "F:3,1", "F:3,2", "M:3", "2xK3", "2xF:2,1",
+        "3xF:2,1", "2xF:1,3", "2xF:2,2", "2xF:3,1", "2xF:3,2", C4, "2x" + P3,
+    ],
+)
 def test_anchored_containment_matches_full_check(target):
-    # seeded random colorings of K9 built edge by edge: while the class that
+    # seeded random colorings of K9 (or of a complete graph one vertex
+    # larger than the target) built edge by edge: while the class that
     # receives the edge was free before it, the check anchored at that edge
     # must agree with the full one
     t = _as_pattern(target)
     rng = random.Random(11)
-    n = 9
+    n = max(9, pattern_order(t) + 1)
     edges = list(combinations(range(n), 2))
     checked = hits = 0
     for _ in range(30):
