@@ -66,19 +66,20 @@ def _warn(message: str) -> None:
 
 
 def load_records(path: str | os.PathLike) -> list[ResultRecord]:
-    """All readable records in file order; corrupt lines warn and are skipped."""
+    """All readable records in file order; corrupt lines, undecodable ones
+    included, warn and are skipped."""
     records: list[ResultRecord] = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
     except FileNotFoundError:
         return records
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, raw in enumerate(lines, start=1):
         try:
-            records.append(record_from_obj(json.loads(line)))
-        except (json.JSONDecodeError, CorruptRecord) as exc:
+            line = raw.decode("utf-8")
+            if line.strip():
+                records.append(record_from_obj(json.loads(line)))
+        except (UnicodeDecodeError, json.JSONDecodeError, CorruptRecord) as exc:
             _warn(f"cache line {lineno} skipped: {exc}")
     return records
 

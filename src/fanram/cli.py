@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import bounds, io, patterns, search
 from .cache import ResultRecord, cache_lookup, cache_store, load_records
@@ -455,7 +456,10 @@ def _add_search_flags(p) -> None:
     _add_cache_flag(p)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was."""
     parser = argparse.ArgumentParser(
         prog="fanram",
         description="Certify and search Ramsey and star-critical Ramsey numbers "

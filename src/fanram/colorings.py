@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
+from typing import NoReturn
 
 from .errors import BadParam, CorruptRecord, OrderCap, PreconditionViolated, StructureNotFound
 from .graph6 import decode, encode
@@ -17,7 +18,6 @@ from .graphs import (
     complete,
     complement,
     disjoint_union,
-    from_edges,
 )
 from .patterns import (
     EmbeddingWitness,
@@ -33,27 +33,51 @@ CERT_FORMAT = "fanram-certificate-1"
 
 @dataclass(frozen=True)
 class TwoColoring:
-    """A red/blue edge partition of a host graph. Edges not in `red` are blue."""
+    """A red/blue edge partition of a host graph. Edges not in `red` are blue.
+    Both color classes are built as graphs once, on construction."""
 
     host: Graph
     red: frozenset[tuple[int, int]]
+    _red: Graph = field(init=False, repr=False, compare=False)
+    _blue: Graph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n = self.host.order
+        rows = [0] * n
         for u, v in self.red:
-            if u >= v:
-                raise BadParam(f"red edge ({u}, {v}) not normalized")
-            if not self.host.has_edge(u, v):
-                raise BadParam(f"red edge ({u}, {v}) not in the host")
+            if not 0 <= u < v < n:
+                _reject_red_edge(self)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        red = Graph(n, tuple(rows))
+        host = self.host.rows
+        if any(row & ~h for row, h in zip(red.rows, host)):
+            _reject_red_edge(self)
+        object.__setattr__(self, "_red", red)
+        object.__setattr__(
+            self, "_blue", Graph(n, tuple(h & ~row for row, h in zip(red.rows, host)))
+        )
 
     def red_graph(self) -> Graph:
-        return from_edges(self.host.order, self.red)
+        return self._red
 
     def blue_graph(self) -> Graph:
-        blue = [e for e in self.host.edges() if e not in self.red]
-        return from_edges(self.host.order, blue)
+        return self._blue
 
     def blue_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(e for e in self.host.edges() if e not in self.red)
+        return frozenset(self._blue.edges())
+
+
+def _reject_red_edge(coloring: TwoColoring) -> NoReturn:
+    """Raise for the first red edge, in iteration order, that is not a
+    normalized edge of the host."""
+    for u, v in coloring.red:
+        if u >= v:
+            raise BadParam(f"red edge ({u}, {v}) not normalized")
+        if not coloring.host.has_edge(u, v):
+            raise BadParam(f"red edge ({u}, {v}) not in the host")
+        if u < 0:
+            raise BadParam(f"red edge ({u}, {v}) outside 0..{coloring.host.order - 1}")
 
 
 def coloring_from_graphs(host: Graph, red: Graph) -> TwoColoring:

@@ -7,10 +7,18 @@ for each column j = 1..n-1, rows i = 0..j-1.
 
 from __future__ import annotations
 
+import base64
+import re
+
 from .errors import OrderCap, ParseError
-from .graphs import MAX_ORDER, Graph
+from .graphs import MAX_ORDER, Graph, transpose
 
 _HEADER = ">>graph6<<"
+_BAD_CHAR = re.compile(r"[^?-~]")
+# base64 packs 6 bits per character, as graph6 does, from another alphabet
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_FROM_B64 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64)
 
 
 def encode(g: Graph) -> str:
@@ -19,19 +27,13 @@ def encode(g: Graph) -> str:
         out = [chr(n + 63)]
     else:
         out = ["~", chr((n >> 12 & 63) + 63), chr((n >> 6 & 63) + 63), chr((n & 63) + 63)]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = acc << 1 | (g.rows[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(acc + 63))
+    # column j of the upper triangle is row j below the diagonal, bit 0 first
+    width = f"0{n}b"
+    body = "".join(format(row, width)[:~j:-1] for j, row in enumerate(g.rows) if j)
+    chars = -(-len(body) // 6)
+    body += "0" * (-len(body) % 24)
+    packed = int(body or "0", 2).to_bytes(len(body) // 8, "big")
+    out.append(base64.b64encode(packed).translate(_FROM_B64)[:chars].decode())
     return "".join(out)
 
 
@@ -41,9 +43,9 @@ def decode(text: str) -> Graph:
         s = s[len(_HEADER):]
     if not s:
         raise ParseError("empty graph6 string", 0)
-    for pos, ch in enumerate(s):
-        if not 63 <= ord(ch) <= 126:
-            raise ParseError(f"invalid graph6 character {ch!r}", pos)
+    bad = _BAD_CHAR.search(s)
+    if bad:
+        raise ParseError(f"invalid graph6 character {bad.group()!r}", bad.start())
     if s[0] != "~":
         n = ord(s[0]) - 63
         body = s[1:]
@@ -62,18 +64,12 @@ def decode(text: str) -> Graph:
             f"graph6 body has {len(body)} bytes, expected {(need + 5) // 6}",
             len(s),
         )
-    rows = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = ord(body[idx // 6]) - 63
-            if byte >> (5 - idx % 6) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
-    # trailing pad bits must be zero
-    while idx < len(body) * 6:
-        if (ord(body[idx // 6]) - 63) >> (5 - idx % 6) & 1:
-            raise ParseError("nonzero padding bits", idx // 6)
-        idx += 1
-    return Graph(n, tuple(rows))
+    digits = body.encode().translate(_TO_B64)
+    packed = base64.b64decode(digits + b"A" * (-len(digits) % 4))
+    flat = format(int.from_bytes(packed, "big"), f"0{len(packed) * 8}b")
+    pad = flat.find("1", need)
+    if pad >= 0:
+        raise ParseError("nonzero padding bits", pad // 6)
+    # column j is row j below the diagonal; the transpose fills the rest
+    lower = [int(flat[j * (j - 1) // 2:j * (j + 1) // 2][::-1] or "0", 2) for j in range(n)]
+    return Graph(n, tuple(a | b for a, b in zip(lower, transpose(lower))))

@@ -9,12 +9,14 @@ compared as labeled objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadParam, OrderCap
 
 MAX_ORDER = 128
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 # A vertex set is just a frozenset of indices into a host graph.
 VertexSet = frozenset[int]
@@ -33,6 +35,41 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+@cache
+def _swap_steps(size: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each delta swap transposing a size x size bit matrix
+    stored row after row in one integer: the step for block width k swaps
+    bit (i, j) with bit (i + k, j - k) wherever i & k == 0 and j & k != 0."""
+    steps = []
+    k = size // 2
+    while k:
+        row = sum(1 << j for j in range(size) if j & k)
+        mask = sum(row << size * i for i in range(size) if not i & k)
+        steps.append((k * (size - 1), mask))
+        k //= 2
+    return tuple(steps)
+
+
+def transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the transposed bit matrix: bit j of rows[i] becomes bit i of
+    row j. Every row must lie below 2**len(rows). The rows are packed into
+    one integer, padded to a power-of-two side of at least 8 so each row is
+    whole bytes, and transposed by one delta swap per halving of the side."""
+    n = len(rows)
+    size = 8
+    while size < n:
+        size *= 2
+    width = size // 8
+    x = int.from_bytes(b"".join(r.to_bytes(width, "little") for r in rows), "little")
+    for shift, mask in _swap_steps(size):
+        t = (x ^ x >> shift) & mask
+        x ^= t ^ t << shift
+    data = x.to_bytes(n * width, "little")
+    return tuple(
+        int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)
+    )
 
 
 @dataclass(frozen=True)
@@ -58,9 +95,13 @@ class Graph:
                 raise BadParam(f"row {v} has bits beyond the vertex range")
             if row >> v & 1:
                 raise BadParam(f"self-loop at vertex {v}")
-        for v, row in enumerate(self.rows):
-            for u in bits(row):
-                if not self.rows[u] >> v & 1:
+        columns = transpose(self.rows)
+        if tuple(self.rows) != columns:
+            # the first row v with a neighbor u whose row lacks v
+            for v, (row, col) in enumerate(zip(self.rows, columns)):
+                extra = row & ~col
+                if extra:
+                    u = (extra & -extra).bit_length() - 1
                     raise BadParam(f"adjacency not symmetric at ({u}, {v})")
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -80,10 +121,10 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, in lexicographic order."""
         out = []
-        for u in range(self.order):
-            rest = self.rows[u] >> (u + 1) << (u + 1)
-            for v in bits(rest):
-                out.append((u, v))
+        for u, row in enumerate(self.rows):
+            # one 0/1 byte per vertex above u, lowest first
+            above = format(row >> (u + 1), "b")[::-1].encode().translate(_BIT_BYTES)
+            out.extend(zip(repeat(u), compress(range(u + 1, self.order), above)))
         return out
 
     def vertices(self) -> range:

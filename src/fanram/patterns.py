@@ -15,7 +15,9 @@ twice in another order. A fan F:t,n is a center plus a packing of n t-cliques
 in its neighborhood; disjoint copies are a packing of the inner pattern,
 searched one connected component at a time. The blades of F:2,n are a
 matching, so a center whose neighborhood has matching number below n is
-skipped before its packings are tried (_matching_at_least).
+skipped before its packings are tried (_matching_at_least). For t >= 3,
+neighbors with fewer than t-1 neighbors left in the neighborhood are
+peeled off first, and a center with fewer than tn left is skipped.
 
 The coloring search also uses anchored kernels: _fans_through yields the fan
 embeddings that map a pattern edge to a given host edge, and _copies_through
@@ -294,15 +296,25 @@ def _cliques_iter(rows, avail: int, t: int, min_v: int) -> Iterator[tuple[int, .
 def _fans_iter(rows, avail: int, fan: Fan, low: int) -> Iterator[tuple[int, ...]]:
     """All fan embeddings within avail with center >= low, as the center
     followed by the blades' vertices; the blades are a packing of the
-    center's neighborhood. The blades of F:2,n are a matching, so a center
-    whose neighborhood has fewer than n disjoint edges is skipped unpacked."""
-    t = fan.t
-    gate = t == 2 and fan.n > 1
+    center's neighborhood. A neighbor with fewer than t-1 neighbors left
+    in the neighborhood is in no blade, so such neighbors are peeled off
+    first, which leaves every packing and its order alone, and a center
+    with fewer than tn neighbors left is skipped. The blades of F:2,n are a
+    matching, so such a center is also skipped when its neighborhood has
+    fewer than n disjoint edges."""
+    t, n = fan.t, fan.n
     for c in bits(avail >> low << low):
         around = avail & rows[c]
-        if gate and not _matching_at_least(rows, around, fan.n):
+        while t >= 3 and around.bit_count() >= t * n:
+            peel = sum(1 << w for w in bits(around) if (rows[w] & around).bit_count() < t - 1)
+            if not peel:
+                break
+            around ^= peel
+        if around.bit_count() < t * n or t == 2 and n > 1 and not _matching_at_least(
+            rows, around, n
+        ):
             continue
-        for blades in _packings(rows, around, _cliques_iter, t, t, fan.n):
+        for blades in _packings(rows, around, _cliques_iter, t, t, n):
             yield (c,) + tuple(v for cl in blades for v in cl)
 
 

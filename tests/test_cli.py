@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
-from fanram.cache import TOOL_VERSION
+from fanram.cache import TOOL_VERSION, cache_lookup
 from fanram.cli import main
 from fanram.colorings import check_free, thm17_construction
 from fanram.graph6 import decode
@@ -448,6 +449,106 @@ def test_cache_subcommand_summary(tmp_path, capsys):
     assert doc["entries"][0]["tool_version"] == TOOL_VERSION
     code, _, err = run(capsys, "cache")
     assert code == 2
+
+
+# These tests look the cache file up several times in one process, changing
+# it in between: every lookup must see the file as it is now.
+
+M2_F21 = ["ramsey", "--red", "M:2", "--blue", "F:2,1", "--lo", "3", "--hi", "8"]
+
+
+def test_cache_sees_an_edit_that_keeps_the_size(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = M2_F21 + ["--cache", str(cache)]
+    _, out1, _ = run(capsys, *args)
+    assert run(capsys, *args)[1:] == (out1, "")  # a replay
+    text = cache.read_text()
+    edited = text.replace('"value":5', '"value":4', 1)
+    assert edited != text and len(edited) == len(text)
+    cache.write_text(edited)
+    code, out2, err = run(capsys, *args)
+    assert code == 0 and out2 == out1
+    assert "not backed by its certificate" in err
+    assert len(cache.read_text().splitlines()) == 2
+
+
+def test_cache_corrupt_line_warns_on_every_lookup(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = M2_F21 + ["--cache", str(cache)]
+    _, out1, _ = run(capsys, *args)
+    cache.write_text("this is not json\n" + cache.read_text())
+    results = [run(capsys, *args) for _ in range(3)]
+    assert all(r == results[0] for r in results)
+    code, out, err = results[0]
+    assert code == 0 and out == out1
+    assert err.startswith("warning: cache line 1 skipped:") and err.count("\n") == 1
+
+
+def test_cache_finds_lines_appended_by_another_writer(tmp_path, capsys):
+    cache, other = tmp_path / "cache.jsonl", tmp_path / "other.jsonl"
+    run(capsys, *M2_F21, "--cache", str(cache))
+    run(capsys, *M2_F21, "--cache", str(cache))
+    wider = M2_F21[:-1] + ["9"]
+    _, out_wider, _ = run(capsys, *wider, "--cache", str(other))
+    with open(cache, "a", encoding="utf-8") as fh:
+        fh.write(other.read_text())
+    code, out, err = run(capsys, *wider, "--cache", str(cache))
+    assert (code, out, err) == (0, out_wider, "")
+    assert len(cache.read_text().splitlines()) == 2  # replayed, not stored again
+
+
+def test_cache_replays_name_their_own_files(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    files = [tmp_path / f"{name}.fr2" for name in "abc"]
+    run(
+        capsys,
+        "construct", "--family", "lemma27",
+        "--s", "2", "--t", "2", "--n", "2", "--out", str(files[0]),
+    )
+    for f in files[1:]:
+        f.write_bytes(files[0].read_bytes())
+    for f in files + files[::-1]:
+        code, out, err = run(capsys, "check-free", "--file", str(f), "--cache", str(cache))
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "check-free", "--file", str(f))[1]
+    assert len(cache.read_text().splitlines()) == 1
+    # editing a looked-up record does not change the next lookup
+    key = ("certificate", "M:2", "F:2,2", json.loads(cache.read_text())["params"])
+    cache_lookup(cache, *key).artifact["file"] = "elsewhere"
+    assert cache_lookup(cache, *key).artifact["file"] == str(files[0])
+
+
+def test_cache_truncated_or_replaced_file_drops_stale_records(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = M2_F21 + ["--cache", str(cache)]
+    run(capsys, *args)
+    run(capsys, *args)
+    cache.write_text("")
+    assert cache_lookup(cache, "ramsey", "M:2", "F:2,1", {"lo": 3, "hi": 8}) is None
+    run(capsys, *args)
+    assert len(cache.read_text().splitlines()) == 1
+    # a new file under the same name, holding another record
+    replacement = tmp_path / "replacement.jsonl"
+    run(capsys, *M2_F21[:-1], "9", "--cache", str(replacement))
+    os.replace(replacement, cache)
+    assert cache_lookup(cache, "ramsey", "M:2", "F:2,1", {"lo": 3, "hi": 8}) is None
+    assert cache_lookup(cache, "ramsey", "M:2", "F:2,1", {"lo": 3, "hi": 9}) is not None
+
+
+def test_cache_unterminated_last_line_and_undecodable_line(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = M2_F21 + ["--cache", str(cache)]
+    _, out1, _ = run(capsys, *args)
+    cache.write_bytes(b"\xff\xfe\n" + cache.read_bytes().rstrip(b"\n"))
+    for _ in range(2):
+        code, out, err = run(capsys, *args)
+        # the record on the last line, which has no newline, is replayed
+        assert (code, out) == (0, out1)
+        assert err == (
+            "warning: cache line 1 skipped: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte\n"
+        )
+    assert len(cache.read_bytes().splitlines()) == 2
 
 
 def test_cache_other_tool_version_recomputes(tmp_path, capsys):

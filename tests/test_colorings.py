@@ -31,6 +31,8 @@ from fanram.graphs import (
 )
 from fanram.patterns import Clique, Fan, copies_pattern, parse_target
 
+from conftest import cycle_graph
+
 
 def test_two_coloring_validation():
     host = complete(3)
@@ -48,6 +50,26 @@ def test_coloring_graph_views():
     assert c.red_graph().edges() == [(0, 1), (2, 3)]
     assert c.blue_graph() == complement(c.red_graph())
     assert coloring_from_graphs(host, c.red_graph()) == c
+    # the views are built once; on a sparse host blue is host minus red
+    assert c.red_graph() is c.red_graph() and c.blue_graph() is c.blue_graph()
+    c = TwoColoring(cycle_graph(5), frozenset({(0, 1), (0, 4)}))
+    assert c.blue_graph().edges() == [(1, 2), (2, 3), (3, 4)]
+    assert c.blue_edges() == frozenset(c.blue_graph().edges())
+
+
+def test_two_coloring_rejects_the_first_bad_red_edge():
+    # the edge named is the first, in the set's iteration order, that is not
+    # normalized or not in the host
+    host = from_edges(6, [(0, 1), (1, 2), (2, 3)])
+    for red in ({(0, 1), (3, 4), (2, 1)}, {(2, 1), (4, 5)}, {(1, 2), (0, 5)}):
+        red = frozenset(red)
+        first = next(
+            (u, v) for u, v in red if u >= v or not host.has_edge(u, v)
+        )
+        why = "not normalized" if first[0] >= first[1] else "not in the host"
+        with pytest.raises(BadParam) as exc:
+            TwoColoring(host, red)
+        assert str(exc.value) == f"red edge {first} {why}"
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +305,9 @@ def test_check_free_just_below_a_fan_is_fast():
     c = lemma27_construction(30, 2, 10)
     assert c.host.order == 69
     assert check_free(c, "M:30", "F:2,10").valid
+    # for F:3,n the blue neighborhood of vertex 0 is K_14 plus vertex 15,
+    # which has no neighbor in it: peeling 15 leaves 14 < 15 vertices
+    c = thm17_construction(3, 1, 3, 5)
+    assert (0, 15) in c.red
+    near = TwoColoring(c.host, c.red - {(0, 15)})
+    assert check_free(near, "K3", "F:3,5").valid

@@ -47,6 +47,23 @@ def test_long_form_round_trip():
     assert not encode(empty_graph(62)).startswith("~")
 
 
+def test_encode_matches_networkx_at_every_order():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(128)
+    for order in range(129):
+        g = random_graph(rng, order, (0.1, 0.5, 0.9)[order % 3])
+        ref = nx.Graph()
+        ref.add_nodes_from(range(order))
+        ref.add_edges_from(g.edges())
+        text = encode(g)
+        assert text == nx.to_graph6_bytes(ref, header=False).decode().rstrip("\n"), order
+        assert decode(text) == g, order
+    # the order prefix switches to the long form between 62 and 63
+    assert encode(complete(62))[0] == chr(62 + 63)
+    assert encode(complete(63))[:4] == "~" + chr(63) + chr(63) + chr(63 + 63)
+    assert decode(encode(complete(63))) == complete(63)
+
+
 def test_order_cap_on_decode():
     # long-form header for order 129: 129 = 0*64^2 + 2*64 + 1
     header = "~" + chr(63) + chr(63 + 2) + chr(63 + 1)
@@ -73,6 +90,13 @@ def test_padding_must_be_zero():
     bad = good[:-1] + chr(((ord(good[-1]) - 63) | 0b1) + 63)
     with pytest.raises(ParseError):
         decode(bad)
+    # order 65 uses 2080 bits, so the last of its 347 body chars has 2 pad
+    # bits; set the first of them
+    text = encode(complete(65))
+    bad = text[:-1] + chr(((ord(text[-1]) - 63) | 0b10) + 63)
+    with pytest.raises(ParseError) as exc:
+        decode(bad)
+    assert exc.value.position == 346
 
 
 @st.composite

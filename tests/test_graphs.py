@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,9 +25,10 @@ from fanram.graphs import (
     join,
     relabel,
     star_augmented,
+    transpose,
 )
 
-from conftest import cycle_graph, path_graph
+from conftest import cycle_graph, path_graph, random_graph
 
 
 def test_complete_basic():
@@ -69,6 +72,51 @@ def test_graph_validation():
         Graph(2, (0b10, 0b00))  # asymmetric
     with pytest.raises(BadParam):
         Graph(2, (0b100, 0b000))  # stray bit past order
+
+
+def _transpose_by_bits(rows):
+    n = len(rows)
+    return tuple(sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n))
+
+
+@pytest.mark.parametrize("order", [0, 1, 63, 64, 65, 127, 128])
+def test_transpose_matches_brute_force(order):
+    rng = random.Random(order)
+    full = (1 << order) - 1
+    for rows in (
+        [rng.getrandbits(order) if order else 0 for _ in range(order)],
+        [full] * order,
+        [1 << (order - 1 - v) for v in range(order)],
+    ):
+        assert transpose(rows) == _transpose_by_bits(rows)
+
+
+def _first_unmatched(rows):
+    """The pair a per-edge scan reports: rows ascending, neighbors ascending."""
+    for v, row in enumerate(rows):
+        for u in bits(row):
+            if not rows[u] >> v & 1:
+                return u, v
+    return None
+
+
+def test_asymmetry_names_the_first_unmatched_pair():
+    with pytest.raises(BadParam, match=r"^adjacency not symmetric at \(1, 0\)$"):
+        Graph(2, (0b10, 0b00))
+    rng = random.Random(5)
+    for order in (2, 5, 9, 64, 70, 128):
+        for _ in range(10):
+            rows = list(random_graph(rng, order, 0.4).rows)
+            for _ in range(rng.randint(1, 3)):
+                u, v = rng.sample(range(order), 2)
+                rows[u] ^= 1 << v
+            pair = _first_unmatched(rows)
+            if pair is None:
+                assert Graph(order, tuple(rows)).rows == tuple(rows)
+                continue
+            with pytest.raises(BadParam) as exc:
+                Graph(order, tuple(rows))
+            assert str(exc.value) == f"adjacency not symmetric at {pair}"
 
 
 def test_disjoint_union_shifts_second_block():

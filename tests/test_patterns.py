@@ -238,6 +238,11 @@ def test_contains_fan_examples():
     f = generalized_fan(4, 3)
     assert contains_fan(f, 4, 3) is not None
     assert contains_fan(f, 4, 4) is None
+    # hub 0 over K6 on 1..6 and the edge 7-8: 7 and 8 are in no triangle of
+    # the hub's neighborhood, so peeling them changes no packing
+    g = join(complete(1), disjoint_union(complete(6), complete(2)))
+    assert contains_fan(g, 3, 2).groups == ((0,), (1, 2, 3), (4, 5, 6))
+    assert contains_fan(g, 3, 3) is None
 
 
 def test_fan_matching_filter_keeps_first_witness():
