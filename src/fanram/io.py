@@ -51,5 +51,12 @@ def save_coloring(
 
 
 def load_coloring(path: str | os.PathLike) -> tuple[TwoColoring, dict[str, str]]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_coloring(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        # one read() decodes the whole file at once, so start is a file offset
+        raise ParseError(
+            f"non-ASCII byte {exc.object[exc.start]:#04x} in coloring file", exc.start
+        ) from None
+    return parse_coloring(text)

@@ -37,6 +37,16 @@ level and drops when it returns, and they are reported as
 SearchResult.caps. Because the cut branches hold no free coloring and the
 DFS order is unchanged, every first coloring found equals the plain
 search's.
+
+Isomorph rejection. On a complete host the slots are the edges in
+lexicographic order, so the DFS fills one vertex star (u, u+1), (u, u+2), ...
+after another, and it keeps every star in canonical form (_iso_allows).
+Sorting, for u = 0, 1, ... in turn, the vertices above u by their colors to
+u, red first, permutes only vertices with equal colors to every vertex below
+u, so it keeps every earlier star: every coloring has an isomorph that meets
+the rule on all stars, and values are unchanged. An isomorphism class may
+keep more than one representative. The star extension colors no host edges
+and is not restricted.
 """
 
 from __future__ import annotations
@@ -170,18 +180,14 @@ def _clique_form(p: TargetPattern) -> TargetPattern:
     return p
 
 
-def _iso_allows(rows_red, u: int, v: int, is_red: bool) -> bool:
-    """Canonical-form restriction on the first two vertex stars of a
-    complete host: within each block of equal earlier colors, red must come
-    before blue. Every coloring has an isomorph obeying this."""
-    if u == 0 and v >= 2:
-        if is_red and not rows_red[0] >> (v - 1) & 1:
-            return False
-    if u == 1 and v >= 3:
-        if (rows_red[0] >> v & 1) == (rows_red[0] >> (v - 1) & 1):
-            if is_red and not rows_red[1] >> (v - 1) & 1:
-                return False
-    return True
+def _iso_allows(rows_red, split: int, u: int, v: int) -> bool:
+    """Whether slot (u, v), v >= u + 2, of a complete host may be red.
+    Vertices v - 1 and v form a block when they have the same color to every
+    vertex below u; split has bit v set when they do not. Inside a block a
+    red (u, v) needs (u, v - 1) red. Blocks are contiguous in the sorted
+    isomorph, so comparing neighbours suffices, and the DFS has colored
+    every edge the rule reads before slot (u, v)."""
+    return bool(split >> v & 1 or rows_red[u] >> (v - 1) & 1)
 
 
 def _root_blocked(n: int, red_t: TargetPattern, blue_t: TargetPattern) -> bool:
@@ -328,6 +334,9 @@ def _color_slots(
     # stack[i] counts the options tried at slot i; below the top, the last
     # of them is the color slot i holds now
     stack = [0]
+    # iso: splits[u] is the split of star u (_iso_allows), set once when the
+    # DFS enters the star; the stars below u stay fixed while it is in it
+    splits = [0] * n
     colored = 0
     while stack:
         i = len(stack) - 1
@@ -347,9 +356,14 @@ def _color_slots(
                 stack.append(0)
                 continue
             u, v = slots[i]
-            if iso and not _iso_allows(rows_red, u, v, is_red):
-                stats.iso_prunes += 1
-                continue
+            if iso and is_red:
+                if v == u + 1:
+                    if u:
+                        row = rows_red[u - 1]
+                        splits[u] = splits[u - 1] | row ^ row << 1
+                elif not _iso_allows(rows_red, splits[u], u, v):
+                    stats.iso_prunes += 1
+                    continue
             stats.nodes += 1
             if stats.nodes > budget:
                 raise BudgetExhausted(f"node budget {budget} exhausted", stats)
@@ -394,8 +408,9 @@ def _free_coloring_dfs(
     caps: _CapTable | None,
 ) -> Iterator[TwoColoring]:
     """Yield free colorings in DFS order; exhaustive when fully consumed.
-    On a complete host, canonical colorings only, pruned by the degree
-    windows of caps (None: the plain search)."""
+    On a complete host, only colorings whose every vertex star is in
+    canonical form (_iso_allows), at least one per isomorphism class,
+    pruned by the degree windows of caps (None: no windows)."""
     n = host.order
     if _root_blocked(n, red_t, blue_t):
         return
@@ -523,8 +538,10 @@ def star_critical(
 
     r must be the exact Ramsey number of the pair: K_r admitting a free
     coloring, or K_{r-1} admitting none, violates the precondition. Base
-    colorings are enumerated exhaustively up to isomorphism: isomorphic
-    bases extend equally far, so canonical representatives suffice.
+    colorings are the free colorings of K_{r-1} whose every vertex star is
+    in canonical form (_iso_allows), which covers every isomorphism class,
+    some more than once: isomorphic bases extend equally far, so these
+    representatives suffice.
     """
     if r < 3:
         raise BadParam("need r >= 3")

@@ -140,6 +140,14 @@ def test_check_free_without_targets(tmp_path, capsys):
     assert code == 2 and "target" in err
 
 
+def test_check_free_non_ascii_file_exits_two(tmp_path, capsys):
+    f = tmp_path / "accent.fr2"
+    f.write_bytes("D~{\né\n".encode())
+    code, out, err = run(capsys, "check-free", "--file", str(f), "--red", "K3", "--blue", "K3")
+    assert code == 2 and out == ""
+    assert err == "error: non-ASCII byte 0xc3 in coloring file (at position 4)\n"
+
+
 def test_bound_formula(capsys):
     code, doc, _ = run_json(
         capsys, "bound", "--formula", "lem2.7", "--s", "2", "--t", "2", "--n", "1"

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
+from math import factorial
 
+import networkx as nx
 import pytest
 
 from fanram.colorings import TwoColoring, check_free, lemma27_construction, thm17_construction
@@ -15,6 +17,7 @@ from fanram.search import (
     SearchStats,
     _as_pattern,
     _CapTable,
+    _color_slots,
     _free_coloring_dfs,
     _new_containment,
     exists_free_coloring,
@@ -204,6 +207,61 @@ def test_anchored_containment_matches_full_check(target):
                 checked += 1
                 hits += full
     assert 0 < hits < checked
+
+
+def _free_colorings(order: int, red, blue, iso: bool) -> list[tuple[bool, ...]]:
+    """Colors, in lexicographic edge order, of every free coloring the DFS
+    reaches on K_order with no degree windows; iso=False reaches every
+    labeled one."""
+    zero = [0] * order
+    return [
+        tuple(colors)
+        for colors in _color_slots(
+            complete(order).edges(), zero[:], zero[:], _as_pattern(red), _as_pattern(blue),
+            SearchConfig(), SearchStats(), iso=iso,
+        )
+    ]
+
+
+def _red_classes(order: int, colorings) -> list[nx.Graph]:
+    """One networkx red graph per isomorphism class of the colorings."""
+    edges = complete(order).edges()
+    reps: list[nx.Graph] = []
+    for colors in colorings:
+        g = nx.empty_graph(order)
+        g.add_edges_from(e for e, red in zip(edges, colors) if red)
+        if not any(nx.is_isomorphic(g, h) for h in reps):
+            reps.append(g)
+    return reps
+
+
+@pytest.mark.parametrize(
+    "red, blue, order",
+    [
+        ("K3", "K3", 5), ("K3", "K4", 6), ("K3", "K4", 7), ("K3", "F:2,2", 7),
+        ("K3", "F:2,2", 8), ("M:3", "F:2,2", 7), ("K3", "M:3", 6),
+    ],
+)
+def test_iso_rule_keeps_every_isomorphism_class(red, blue, order):
+    # the plain enumeration holds every labeled free coloring, so it is the
+    # disjoint union of the orbits of its classes, each of n!/|Aut| colorings;
+    # the canonical one is a subset whose classes' orbits must fill it
+    plain = set(_free_colorings(order, red, blue, iso=False))
+    canonical = _free_colorings(order, red, blue, iso=True)
+    assert plain.issuperset(canonical)
+    orbits = 0
+    for g in _red_classes(order, canonical):
+        automorphisms = sum(1 for _ in nx.isomorphism.GraphMatcher(g, g).isomorphisms_iter())
+        orbits += factorial(order) // automorphisms
+    assert orbits == len(plain)
+
+
+def test_iso_rule_gives_published_class_counts():
+    # Ramsey-graph counts (Radziszowski, DS1): one (3,3)-graph on 5
+    # vertices, nine (3,4)-graphs on 7 and three on 8
+    for red, blue, order, classes in [("K3", "K3", 5, 1), ("K3", "K4", 7, 9), ("K3", "K4", 8, 3)]:
+        canonical = _free_colorings(order, red, blue, iso=True)
+        assert len(_red_classes(order, canonical)) == classes
 
 
 def test_star_critical_k3_k3():
