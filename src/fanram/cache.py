@@ -4,6 +4,10 @@ A cache hit is advisory only. Lookups skip records written by another tool
 version, and embedded certificates are re-validated before a record is
 trusted; anything unreadable is skipped with a warning so a damaged file
 degrades to a miss, never to a wrong answer.
+
+Records are stored compactly with their key fields first, so a lookup
+skips, unparsed, every line that starts like a compact record of another
+key (see load_records); a damaged line of another key is skipped silently.
 """
 
 from __future__ import annotations
@@ -65,9 +69,28 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def load_records(path: str | os.PathLike) -> list[ResultRecord]:
+# how cache_store begins every line
+_COMPACT_START = b'{"kind":"'
+
+
+def _key_head(kind: str, red_target: str, blue_target: str, params: dict) -> bytes:
+    """The bytes cache_store writes before the value of a record with this
+    key: the compact JSON of the key fields, still open for the next one."""
+    key = {"kind": kind, "red_target": red_target, "blue_target": blue_target,
+           "params": params}
+    return json.dumps(key, separators=(",", ":")).encode()[:-1] + b","
+
+
+def load_records(
+    path: str | os.PathLike, head: bytes | None = None
+) -> list[ResultRecord]:
     """All readable records in file order; corrupt lines, undecodable ones
-    included, warn and are skipped."""
+    included, warn and are skipped.
+
+    With a head (see _key_head), a line that starts like a compact record
+    but not with head holds another key, and is skipped unparsed and
+    without a warning. Every other line, spaced or damaged ones included,
+    is parsed as without a head."""
     records: list[ResultRecord] = []
     try:
         with open(path, "rb") as fh:
@@ -75,6 +98,8 @@ def load_records(path: str | os.PathLike) -> list[ResultRecord]:
     except FileNotFoundError:
         return records
     for lineno, raw in enumerate(lines, start=1):
+        if head and raw.startswith(_COMPACT_START) and not raw.startswith(head):
+            continue
         try:
             line = raw.decode("utf-8")
             if line.strip():
@@ -98,10 +123,13 @@ def cache_lookup(
     params: dict,
 ) -> ResultRecord | None:
     """Newest record of this tool version matching the full key, or None.
-    Records written by another version are never replayed."""
+    Records written by another version are never replayed. Only lines that
+    can hold the key are parsed: those that begin with its compact head, as
+    cache_store writes it with params in the caller's order, and those that
+    do not begin like a compact record at all."""
     probe = json.dumps(params, sort_keys=True)
     best: ResultRecord | None = None
-    for rec in load_records(path):
+    for rec in load_records(path, _key_head(kind, red_target, blue_target, params)):
         if (rec.kind, rec.red_target, rec.blue_target, rec.tool_version) == (
             kind, red_target, blue_target, TOOL_VERSION
         ):

@@ -146,6 +146,8 @@ def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def empty_graph(n: int) -> Graph:
     if n < 0:
         raise BadParam("negative order")
+    if n > MAX_ORDER:
+        raise OrderCap(f"order {n} exceeds {MAX_ORDER}")
     return Graph(n, (0,) * n)
 
 
@@ -153,6 +155,8 @@ def complete(n: int) -> Graph:
     """K_n."""
     if n < 0:
         raise BadParam("negative order")
+    if n > MAX_ORDER:
+        raise OrderCap(f"order {n} exceeds {MAX_ORDER}")
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -170,6 +174,8 @@ def copies(s: int, g: Graph) -> Graph:
     """s disjoint copies of g, laid out block by block."""
     if s < 1:
         raise BadParam("copy count must be at least 1")
+    if s * g.order > MAX_ORDER:
+        raise OrderCap(f"order {s * g.order} exceeds {MAX_ORDER}")
     return reduce(disjoint_union, [g] * s)
 
 

@@ -452,15 +452,20 @@ def _color_swap(coloring: TwoColoring) -> TwoColoring:
 def _seed_coloring(red_t: TargetPattern, blue_t: TargetPattern) -> TwoColoring | None:
     """A verified free coloring from a known extremal construction, when the
     target pair matches one: clique versus disjoint fans, or matching versus
-    fan, in either orientation. Freeness is machine-checked before use."""
+    fan, in either orientation. Copies of K_k, k >= 3, are read as copies of
+    the fan F_{k-1,1}, which is K_k. Freeness is machine-checked before use."""
     builders = []
     for a, b, swap in ((red_t, blue_t, False), (blue_t, red_t, True)):
         if isinstance(a, Clique) and isinstance(b, Fan):
             builders.append((lambda a=a, b=b: thm17_construction(a.size, 1, b.t, b.n), swap))
-        if isinstance(a, Clique) and isinstance(b, Copies) and isinstance(b.inner, Fan):
-            builders.append(
-                (lambda a=a, b=b: thm17_construction(a.size, b.count, b.inner.t, b.inner.n), swap)
-            )
+        if isinstance(a, Clique) and isinstance(b, Copies):
+            inner = b.inner
+            if isinstance(inner, Clique) and inner.size >= 3:
+                inner = Fan(inner.size - 1, 1)
+            if isinstance(inner, Fan):
+                builders.append(
+                    (lambda a=a, b=b, f=inner: thm17_construction(a.size, b.count, f.t, f.n), swap)
+                )
         if isinstance(a, Matching) and isinstance(b, Fan):
             builders.append((lambda a=a, b=b: lemma27_construction(a.size, b.t, b.n), swap))
     for build, swap in builders:

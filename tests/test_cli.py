@@ -5,9 +5,11 @@ import os
 
 import pytest
 
-from fanram.cache import TOOL_VERSION, cache_lookup
+import fanram.cache as cache_module
+import fanram.cli as cli_module
+from fanram.cache import TOOL_VERSION, ResultRecord, cache_lookup, cache_store
 from fanram.cli import main
-from fanram.colorings import check_free, thm17_construction
+from fanram.colorings import check_free, load_certificate, thm17_construction
 from fanram.graph6 import decode
 from fanram.io import load_coloring, parse_coloring, render_coloring, save_coloring
 from fanram.errors import ParseError
@@ -215,6 +217,23 @@ def test_ramsey_deep_search_exits_one_without_traceback(capsys):
     )
     assert code == 1 and doc["status"] == "no_value_in_range"
     assert "Traceback" not in err
+
+
+def test_graph_over_the_order_cap_exits_two_before_it_is_built(capsys):
+    # F:99999999,2 would need a K_99999999 blade
+    code, out, err = run(capsys, "detect", "--graph", "F:99999999,2", "--target", "K3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: order") and "Traceback" not in err
+
+
+def test_clique_copies_cap_starts_at_its_seed(capsys):
+    # the (K3,2xK3) cap of F:3,2 starts at thm17(3,2,2,1)'s order 7
+    argv = ["ramsey", "--red", "K3", "--blue", "F:3,2", "--lo", "13", "--hi", "13"]
+    for budget, nodes in ((10, 11), (4000, 4001)):
+        code, doc, _ = run_json(capsys, *argv, "--budget", str(budget))
+        assert (code, doc["status"], doc["stats"]["nodes"]) == (2, "budget_exhausted", nodes)
+        cap = next(c for c in doc["caps"] if (c["red"], c["blue"]) == ("K3", "2xK3"))
+        assert (cap["value"], cap["free_order"]) == (None, 7)
 
 
 def test_flags_that_did_nothing_are_gone(capsys):
@@ -579,6 +598,99 @@ def test_cache_other_tool_version_recomputes(tmp_path, capsys):
     assert json.loads(lines[1])["tool_version"] == TOOL_VERSION
     _, doc, _ = run_json(capsys, "cache", "--cache", str(cache))
     assert [e["tool_version"] for e in doc["entries"]] == ["0.0.0", TOOL_VERSION]
+
+
+# A lookup parses only the lines that can hold its key: those that begin
+# with the key's compact head, and those that do not begin like a compact
+# record at all.
+
+
+def _other_keys(cache, count):
+    for hi in range(100, 100 + count):
+        cache_store(cache, ResultRecord("ramsey", "M:2", "F:2,1", {"lo": 3, "hi": hi},
+                                        None, {"hi": hi}))
+
+
+def _count_parses(monkeypatch):
+    parsed = []
+    original = cache_module.record_from_obj
+
+    def counted(obj):
+        parsed.append(obj)
+        return original(obj)
+
+    monkeypatch.setattr(cache_module, "record_from_obj", counted)
+    return parsed
+
+
+def test_cache_lookup_parses_only_lines_of_its_key(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    args = M2_F21 + ["--cache", str(cache)]
+    _other_keys(cache, 20)
+    _, out1, _ = run(capsys, *args)
+    _other_keys(cache, 20)
+    parsed = _count_parses(monkeypatch)
+    assert run(capsys, *args)[1:] == (out1, "")
+    assert [obj["params"] for obj in parsed] == [{"lo": 3, "hi": 8}]
+    assert len(cache.read_text().splitlines()) == 41
+
+
+def test_cache_spaced_record_is_parsed_and_revalidated(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    args = M2_F21 + ["--cache", str(cache)]
+    _, out1, _ = run(capsys, *args)
+    spaced = json.dumps(json.loads(cache.read_text()))
+    assert spaced.startswith('{"kind": "ramsey", ')
+    cache.write_text("")
+    _other_keys(cache, 5)
+    with open(cache, "a", encoding="utf-8") as fh:
+        fh.write(spaced + "\n")
+    parsed = _count_parses(monkeypatch)
+    checked = []
+    monkeypatch.setattr(cli_module, "load_certificate",
+                        lambda text: checked.append(text) or load_certificate(text))
+    assert run(capsys, *args)[1:] == (out1, "")
+    assert len(parsed) == len(checked) == 1
+
+
+def test_cache_params_in_another_order_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = M2_F21 + ["--cache", str(cache)]
+    _, out1, _ = run(capsys, *args)
+    rec = json.loads(cache.read_text())
+    rec["params"] = {"hi": 8, "lo": 3}
+    rec["value"] = rec["artifact"]["value"] = 99
+    cache.write_text(json.dumps(rec, separators=(",", ":")) + "\n")
+    assert cache_lookup(cache, "ramsey", "M:2", "F:2,1", {"lo": 3, "hi": 8}) is None
+    assert run(capsys, *args)[1:] == (out1, "")  # recomputed
+    assert len(cache.read_text().splitlines()) == 2
+
+
+def test_cache_damaged_line_of_another_key_is_skipped_silently(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = M2_F21 + ["--cache", str(cache)]
+    _, out1, _ = run(capsys, *args)
+    line = cache.read_text()
+    other = line.replace('"hi":8', '"hi":9', 1)
+    cache.write_text(other[:90] + "\n" + line)
+    assert run(capsys, *args)[1:] == (out1, "")
+    # a damaged line that begins with this key's head still warns
+    cache.write_text(line[:90] + "\n" + line)
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (0, out1)
+    assert err.startswith("warning: cache line 1 skipped:") and err.count("\n") == 1
+
+
+def test_cache_newest_match_wins_with_keys_interleaved(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    keys = [("ramsey", "K3", "K3", {"lo": 1, "hi": 9}), ("star", "K3", "K3", {"r": 6}),
+            ("ramsey", "K3", "K3", {"lo": 1, "hi": 10})]
+    for round_ in range(3):
+        for key in keys:
+            cache_store(cache, ResultRecord(*key, None, {"round": round_}))
+    for key in keys:
+        assert cache_lookup(cache, *key).artifact == {"round": 2}
+    assert cache_lookup(cache, "ramsey", "K3", "K4", {"lo": 1, "hi": 9}) is None
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,10 @@ def test_from_edges_rejects_bad_input():
 def test_graph_validation():
     with pytest.raises(OrderCap):
         complete(129)
+    # the cap is checked before anything of that order is built
+    for build in (complete, empty_graph, lambda n: copies(n, complete(1))):
+        with pytest.raises(OrderCap):
+            build(10**12)
     with pytest.raises(BadParam):
         Graph(2, (0b10,))  # row count mismatch
     with pytest.raises(BadParam):

@@ -20,6 +20,7 @@ from fanram.search import (
     _color_slots,
     _free_coloring_dfs,
     _new_containment,
+    _seed_coloring,
     exists_free_coloring,
     packing_property_check,
     ramsey_number,
@@ -362,6 +363,15 @@ def test_degree_windows_match_plain_search(red, blue, value):
         elif cap.free_order:
             assert exists_free_coloring(complete(cap.free_order), cap.red, cap.blue)
         assert cap.caps_for
+
+
+def test_copies_of_cliques_are_seeded_as_copies_of_fans():
+    # 2xK3 is 2xF:2,1: both are seeded by thm17(3,2,2,1), a free coloring
+    # of K7, and search the same tree
+    assert _seed_coloring(_as_pattern("K3"), _as_pattern("2xK3")).host.order == 7
+    plain, fans = ramsey_number("K3", "2xK3", 1, 9), ramsey_number("K3", "2xF:2,1", 1, 9)
+    assert plain.value == fans.value == 8
+    assert plain.stats.nodes == fans.stats.nodes
 
 
 def test_degree_caps_identities_and_cones():

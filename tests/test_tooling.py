@@ -43,3 +43,24 @@ def test_tracer_installs_and_uninstalls_on_fanram(capsys):
         for attr, value in before[name].items():
             assert vars(m)[attr] is value, f"{name}.{attr} not restored"
     assert modules["graphs"].Graph.__post_init__ is graph_init
+
+
+def test_tracer_counts_cache_records_parsed(tmp_path, capsys):
+    # cache.records_parsed counts calls of cache.record_from_obj made
+    # through its module global; a local binding would leave it at zero
+    modules = {name: importlib.import_module(f"fanram.{name}") for name in MODULES}
+    tracer = _load_tracing().Tracer(modules)
+    argv = ["ramsey", "--red", "M:2", "--blue", "F:2,1", "--lo", "3", "--hi", "8",
+            "--cache", str(tmp_path / "cache.jsonl")]
+    tracer.install()
+    try:
+        outs = []
+        for _ in range(2):  # a store, then a replay
+            assert modules["cli"].main(argv) == 0
+            outs.append(capsys.readouterr().out)
+    finally:
+        tracer.uninstall()
+    assert outs[0] == outs[1]
+    snap = tracer.snapshot()
+    assert snap["cache.lookup.calls"] == 2 and snap["cache.lookup.hits"] == 1
+    assert snap["cache.records_parsed"] >= 1
