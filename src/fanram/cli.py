@@ -18,11 +18,13 @@ from . import bounds, io, patterns, search
 from .cache import ResultRecord, cache_lookup, cache_store, load_records
 from .colorings import (
     Certificate,
+    TwoColoring,
     burr_coloring,
     certificate_payload,
     check_free,
     lemma27_construction,
     load_certificate,
+    recheck_certificate,
     thm17_construction,
 )
 from .errors import CorruptRecord, FanramError, RangeError
@@ -113,7 +115,7 @@ def _backs(kind: str, cert_obj: dict, cert: Certificate, value, params: dict) ->
     ramsey; for star, a free coloring of order r whose last vertex has
     degree value-1 and whose other vertices span a complete graph."""
     if kind == "certificate":
-        return (cert_obj["host"], cert_obj["red"]) == (params["host"], params["red"])
+        return _holds_key_coloring(cert_obj, params)
     if not cert.valid or not isinstance(value, int):
         return False
     host = cert.coloring.host
@@ -127,16 +129,31 @@ def _backs(kind: str, cert_obj: dict, cert: Certificate, value, params: dict) ->
     )
 
 
-def _replay(path: str, kind: str, red: str, blue: str, params: dict) -> dict | None:
+def _holds_key_coloring(cert_obj, params: dict) -> bool:
+    """Whether a check-free record's certificate holds the graph6 strings of
+    its key, which are those of the coloring looked up."""
+    if not isinstance(cert_obj, dict):
+        return False
+    return (cert_obj.get("host"), cert_obj.get("red")) == (params["host"], params["red"])
+
+
+def _replay(
+    path: str, kind: str, red: str, blue: str, params: dict, coloring: TwoColoring | None = None
+) -> dict | None:
     """Newest matching cache record whose embedded certificate re-validates,
     is about the same targets, and backs the record (see _backs); anything
-    else warns and counts as a miss."""
+    else warns and counts as a miss. check-free passes the coloring it
+    looked up: a certificate that holds its strings is re-checked on it,
+    with nothing decoded again."""
     rec = cache_lookup(path, kind, red, blue, params)
     if rec is None:
         return None
     cert_obj = rec.artifact.get("certificate") or rec.artifact.get("witness")
     try:
-        cert = load_certificate(json.dumps(cert_obj))
+        if kind == "certificate" and _holds_key_coloring(cert_obj, params):
+            cert = recheck_certificate(cert_obj, coloring)
+        else:
+            cert = load_certificate(json.dumps(cert_obj))
     except CorruptRecord as exc:
         _warn(f"cached record failed re-validation, recomputing: {exc}")
         return None
@@ -226,7 +243,7 @@ def _cmd_check_free(args) -> int:
     params = {"host": encode(coloring.host), "red": encode(coloring.red_graph())}
     cache_file = _cache_path(args)
     if cache_file:
-        stored = _replay(cache_file, "certificate", red_c, blue_c, params)
+        stored = _replay(cache_file, "certificate", red_c, blue_c, params, coloring)
         if stored is not None:
             # records are keyed on the coloring, not the file: report this one
             stored["file"] = args.file

@@ -151,8 +151,10 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, (0,) * n)
 
 
+@cache
 def complete(n: int) -> Graph:
-    """K_n."""
+    """K_n, built once per order (at most MAX_ORDER + 1 of them): graphs
+    are immutable, so every caller shares it."""
     if n < 0:
         raise BadParam("negative order")
     if n > MAX_ORDER:

@@ -6,7 +6,10 @@ All oracles are exact and deterministic: candidate vertices are always tried
 in ascending index order, so the first witness found is reproducible.
 
 Three kernels check every kind. Cliques: one branch-and-bound,
-_clique_search, which the clique and independence numbers also ascend.
+_clique_search, which the clique and independence numbers also ascend; its
+greedy coloring bound runs only while three or more vertices are left to
+choose, since with fewer the expansion finds out as soon, and with one left
+the lowest candidate completes the clique.
 Matchings: Edmonds' blossom algorithm. Everything else is a packing:
 _packings yields k disjoint embeddings of a connected pattern with copies
 ordered by ascending first vertex (a clique's lowest vertex, a fan's
@@ -21,7 +24,10 @@ peeled off first, and a center with fewer than tn left is skipped.
 
 The coloring search also uses anchored kernels: _fans_through yields the fan
 embeddings that map a pattern edge to a given host edge, and _copies_through
-looks for disjoint copies one of which does.
+looks for disjoint copies one of which does. F:2,n needs no packing there:
+when edge uv is added, a center u (or v) needs n disjoint edges in its
+neighborhood, and a common neighbor c, for which uv can only be a blade,
+needs n-1 disjoint edges in N(c) - {u, v} (search._new_containment).
 """
 
 from __future__ import annotations
@@ -237,12 +243,17 @@ def _clique_search(rows, avail: int, m: int) -> tuple[int, ...] | None:
     out: list[int] = []
 
     def expand(cur: list[int], cand: int) -> bool:
-        if len(cur) == m:
-            out.extend(cur)
-            return True
-        if len(cur) + cand.bit_count() < m:
+        need = m - len(cur)
+        if cand.bit_count() < need:
             return False
-        if len(cur) + _greedy_bound(rows, cand, m - len(cur)) < m:
+        if need == 1:
+            # every candidate completes the clique; the lowest comes first
+            out.extend(cur)
+            out.append((cand & -cand).bit_length() - 1)
+            return True
+        # with two left to choose, the expansion below finds out as soon
+        # as a color bound would
+        if need >= 3 and _greedy_bound(rows, cand, need) < need:
             return False
         rest = cand
         while rest:
@@ -413,7 +424,11 @@ def _matching_at_least(rows, avail: int, k: int) -> bool:
     """Whether the subgraph induced by avail has k disjoint edges. Fewer
     than 2k non-isolated vertices settle no, the greedy start of _blossom
     settles most yes answers, and augmenting paths run only when the two
-    disagree."""
+    disagree. One edge needs only a vertex with a neighbor in avail."""
+    if k <= 0:
+        return True
+    if k == 1:
+        return any(rows[w] & avail for w in bits(avail))
     if avail.bit_count() < 2 * k:
         return False
     sub = [0] * len(rows)

@@ -142,8 +142,11 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
     Assumes the class without that edge was target-free, so any embedding
     now maps a pattern edge to uv and detection is anchored there. Cliques
     need K_{m-2} in the common neighborhood; F:t,1 is the clique K_{t+1}.
-    Fans need a center in {u, v} or the common neighborhood (_fans_through);
-    for t = 2 that center's neighborhood needs n disjoint edges.
+    Fans need a center in {u, v} or the common neighborhood (_fans_through).
+    For t = 2 the blades are a matching, anchored at its blade: a center u
+    (or v) needs n disjoint edges in its neighborhood, one of them through
+    v (or u); a common neighbor c can only gain a fan in which uv is a
+    blade, so it needs n-1 disjoint edges in N(c) - {u, v}.
     M:s needs s-1 disjoint edges avoiding u and v. Copies of a clique or fan
     need one copy through uv and count-1 more outside it. Explicit patterns
     and their copies fall back to a full check, which is equally sound.
@@ -159,9 +162,13 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
             # F:2,n centered at c is n disjoint edges in N(c); uv joins one
             # only through a common neighbor (its blade partner or center)
             common = rows[u] & rows[v]
-            return bool(common) and any(
-                _matching_at_least(rows, rows[c], target.n) for c in (u, v, *bits(common))
-            )
+            if not common:
+                return False
+            k = target.n
+            if _matching_at_least(rows, rows[u], k) or _matching_at_least(rows, rows[v], k):
+                return True
+            ends = 1 << u | 1 << v
+            return any(_matching_at_least(rows, rows[c] & ~ends, k - 1) for c in bits(common))
         return next(_fans_through(rows, target, u, v), None) is not None
     if isinstance(target, Matching):
         avoid = ((1 << n) - 1) & ~(1 << u | 1 << v)
@@ -284,14 +291,14 @@ class _CapTable:
         return cap
 
     def _settle_next(self, cap: DegreeCap) -> None:
-        """Decide the order above cap.free_order. A cap needs the value only,
-        so a refuted order never searches the order below for a witness."""
+        """Decide the order above cap.free_order. A cap needs the value only:
+        it asks whether a free coloring exists and builds none, and a refuted
+        order never searches the order below for a witness."""
         order = cap.free_order + 1
         nodes, spent = self.stats.nodes, self.spent
         try:
-            found = exists_free_coloring(
-                complete(order), cap.red, cap.blue, self.cfg, _stats=self.stats, _caps=self
-            )
+            dfs = _free_coloring_dfs(complete(order), cap.red, cap.blue, self.cfg, self.stats, self)
+            found = next(dfs, None)
         finally:
             own = self.stats.nodes - nodes - (self.spent - spent)
             cap.nodes += own
@@ -406,11 +413,13 @@ def _free_coloring_dfs(
     cfg: SearchConfig,
     stats: SearchStats,
     caps: _CapTable | None,
-) -> Iterator[TwoColoring]:
-    """Yield free colorings in DFS order; exhaustive when fully consumed.
-    On a complete host, only colorings whose every vertex star is in
-    canonical form (_iso_allows), at least one per isomorphism class,
-    pruned by the degree windows of caps (None: no windows)."""
+) -> Iterator[list[bool]]:
+    """Yield free colorings in DFS order, each as the colors (True red) of
+    host.edges(); exhaustive when fully consumed. Only callers that keep a
+    coloring build it (_coloring_of). On a complete host, only colorings
+    whose every vertex star is in canonical form (_iso_allows), at least one
+    per isomorphism class, pruned by the degree windows of caps (None: no
+    windows)."""
     n = host.order
     if _root_blocked(n, red_t, blue_t):
         return
@@ -421,11 +430,14 @@ def _free_coloring_dfs(
         if sum(windows) < n - 1:
             stats.degree_prunes += 1
             return
-    edges = host.edges()
-    for colors in _color_slots(
-        edges, [0] * n, [0] * n, red_t, blue_t, cfg, stats, windows, complete_host
-    ):
-        yield TwoColoring(host, frozenset(e for e, red in zip(edges, colors) if red))
+    yield from _color_slots(
+        host.edges(), [0] * n, [0] * n, red_t, blue_t, cfg, stats, windows, complete_host
+    )
+
+
+def _coloring_of(host: Graph, colors: list[bool]) -> TwoColoring:
+    """The coloring whose edges, in host.edges() order, have these colors."""
+    return TwoColoring(host, frozenset(e for e, red in zip(host.edges(), colors) if red))
 
 
 def exists_free_coloring(
@@ -442,7 +454,8 @@ def exists_free_coloring(
     caps = _caps if _caps is not None else _CapTable(cfg, stats)
     red_t = _as_pattern(red_target)
     blue_t = _as_pattern(blue_target)
-    return next(_free_coloring_dfs(host, red_t, blue_t, cfg, stats, caps), None)
+    colors = next(_free_coloring_dfs(host, red_t, blue_t, cfg, stats, caps), None)
+    return None if colors is None else _coloring_of(host, colors)
 
 
 def _color_swap(coloring: TwoColoring) -> TwoColoring:
@@ -560,16 +573,16 @@ def star_critical(
             raise PreconditionViolated(
                 f"K_{r} admits a free coloring, so r is not the Ramsey number"
             )
-        base_order = r - 1
+        base_host = complete(r - 1)
         best_k = -1
-        best: tuple[TwoColoring, tuple[tuple[int, bool], ...]] | None = None
+        best: tuple[list[bool], tuple[tuple[int, bool], ...]] | None = None
         saw_base = False
-        for base in _free_coloring_dfs(complete(base_order), red_t, blue_t, cfg, stats, caps):
+        for colors in _free_coloring_dfs(base_host, red_t, blue_t, cfg, stats, caps):
             saw_base = True
-            k, choices = _max_free_extension(base, red_t, blue_t, cfg, stats, best_k)
+            k, choices = _max_free_extension(base_host, colors, red_t, blue_t, cfg, stats, best_k)
             if k > best_k:
                 best_k = k
-                best = (base, choices)
+                best = (colors, choices)
     except BudgetExhausted:
         return SearchResult(None, None, "budget_exhausted", stats, caps.used())
     if not saw_base:
@@ -580,12 +593,13 @@ def star_critical(
         # only reachable for targets with isolated vertices: even a bare
         # extra vertex completes an embedding on every base
         return SearchResult(0, None, "exact", stats, caps.used())
-    witness = _extension_witness(best[0], best[1])
+    witness = _extension_witness(_coloring_of(base_host, best[0]), best[1])
     return SearchResult(best_k + 1, witness, "exact", stats, caps.used())
 
 
 def _max_free_extension(
-    base: TwoColoring,
+    base_host: Graph,
+    colors: list[bool],
     red_t: TargetPattern,
     blue_t: TargetPattern,
     cfg: SearchConfig,
@@ -593,18 +607,18 @@ def _max_free_extension(
     global_best: int,
 ) -> tuple[int, tuple[tuple[int, bool], ...]]:
     """Maximum number of star edges attachable to a fresh vertex while staying
-    free, over all attachment sets and colorings. Returns the edge choices
-    (base vertex, is_red) of one maximizing extension."""
-    m = base.host.order
+    free, over all attachment sets and colorings, for the base coloring
+    whose edges, in base_host.edges() order, have these colors (True red).
+    Returns the edge choices (base vertex, is_red) of one maximizing
+    extension."""
+    m = base_host.order
     n = m + 1
     rows_red = [0] * n
     rows_blue = [0] * n
-    for u, v in base.red:
-        rows_red[u] |= 1 << v
-        rows_red[v] |= 1 << u
-    for u, v in base.blue_edges():
-        rows_blue[u] |= 1 << v
-        rows_blue[v] |= 1 << u
+    for (u, v), red in zip(base_host.edges(), colors):
+        rows = rows_red if red else rows_blue
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     # a pattern with isolated vertices can embed through the fresh vertex
     # before any star edge is colored; containment is monotone, so the base
     # then admits no free extension at all

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from fanram.graphs import (
     empty_graph,
     from_edges,
     generalized_fan,
+    induced,
     join,
 )
 from fanram.patterns import (
@@ -24,6 +26,7 @@ from fanram.patterns import (
     Explicit,
     Fan,
     Matching,
+    _clique_search,
     _matching_at_least,
     clique_number,
     contains_clique,
@@ -125,6 +128,24 @@ def test_clique_detection_examples():
         contains_clique(complete(3), 0)
 
 
+def test_clique_search_finds_the_first_clique():
+    # the clique bound runs only with three or more vertices left to choose;
+    # what it cuts must never change which clique comes first
+    rng = random.Random(17)
+    for trial in range(150):
+        order = rng.randrange(1, 12)
+        g = random_graph(rng, order, rng.uniform(0.2, 0.9))
+        avail = rng.getrandbits(order)
+        within = [v for v in range(order) if avail >> v & 1]
+        for m in (1, 2, 3, 4):
+            first = next(
+                (c for c in combinations(within, m)
+                 if all(g.has_edge(a, b) for a, b in combinations(c, 2))),
+                None,
+            )
+            assert _clique_search(g.rows, avail, m) == first, (trial, m, g.edges(), avail)
+
+
 def test_clique_number_corpus():
     def oracle(g):
         k = 0
@@ -181,6 +202,24 @@ def test_matching_against_oracles_random():
         assert got == oracle_max_matching(g), (trial, g.edges())
         if order <= 9:
             assert got == oracle_max_matching_recursive(g)
+
+
+def test_matching_at_least_zero_edges_is_always_true():
+    for g in (empty_graph(0), empty_graph(3), complete(4), petersen()):
+        full = (1 << g.order) - 1
+        assert _matching_at_least(g.rows, 0, 0)
+        assert _matching_at_least(g.rows, full, 0)
+
+
+def test_matching_at_least_against_oracle():
+    rng = random.Random(23)
+    for trial in range(200):
+        order = rng.randrange(1, 11)
+        g = random_graph(rng, order, rng.uniform(0.1, 0.7))
+        avail = rng.getrandbits(order)
+        nu = oracle_max_matching(induced(g, [v for v in range(order) if avail >> v & 1]))
+        for k in range(5):
+            assert _matching_at_least(g.rows, avail, k) == (nu >= k), (trial, k, g.edges())
 
 
 def test_matching_witness_edges_are_disjoint():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from collections import Counter
 from itertools import combinations, product
 from math import factorial
 
@@ -18,6 +20,7 @@ from fanram.search import (
     _as_pattern,
     _CapTable,
     _color_slots,
+    _coloring_of,
     _free_coloring_dfs,
     _new_containment,
     _seed_coloring,
@@ -177,8 +180,8 @@ P3 = "G6:" + encode(from_edges(3, [(0, 1), (1, 2)]))
 @pytest.mark.parametrize(
     "target",
     [
-        "K4", "F:1,3", "F:2,2", "F:2,3", "F:3,1", "F:3,2", "M:3", "2xK3", "2xF:2,1",
-        "3xF:2,1", "2xF:1,3", "2xF:2,2", "2xF:3,1", "2xF:3,2", C4, "2x" + P3,
+        "K4", "K5", "F:1,3", "F:2,2", "F:2,3", "F:2,4", "F:3,1", "F:3,2", "M:3", "2xK3",
+        "2xF:2,1", "3xF:2,1", "2xF:1,3", "2xF:2,2", "2xF:3,1", "2xF:3,2", C4, "2x" + P3,
     ],
 )
 def test_anchored_containment_matches_full_check(target):
@@ -324,13 +327,15 @@ def test_ramsey_seeds_from_construction_one_order_below_lo():
 
 def _plain_first(order: int, red, blue):
     stats = SearchStats()
-    return next(_free_coloring_dfs(complete(order), red, blue, SearchConfig(), stats, None), None)
+    host = complete(order)
+    colors = next(_free_coloring_dfs(host, red, blue, SearchConfig(), stats, None), None)
+    return None if colors is None else _coloring_of(host, colors)
 
 
 def _all_free(order: int, red, blue, windowed: bool) -> set:
     cfg, stats = SearchConfig(), SearchStats()
     caps = _CapTable(cfg, stats) if windowed else None
-    return set(_free_coloring_dfs(complete(order), red, blue, cfg, stats, caps))
+    return set(map(tuple, _free_coloring_dfs(complete(order), red, blue, cfg, stats, caps)))
 
 
 @pytest.mark.parametrize(
@@ -400,6 +405,38 @@ def test_cap_scans_share_the_node_budget():
     assert sum(cap.nodes for cap in res.caps) == 51
     again = ramsey_number("K4", "K4", 18, 18, SearchConfig(node_budget=50))
     assert again.stats == res.stats and again.caps == res.caps
+
+
+def test_cap_scans_build_no_colorings(monkeypatch):
+    # K47 for (K30, K30) spends its whole budget scanning caps, r(K29, K30)
+    # and below; a scan only asks whether a free coloring exists, so the
+    # call builds no TwoColoring. Stats and caps are pinned: building no
+    # coloring must not change what the scans count.
+    built = []
+    post_init = TwoColoring.__post_init__
+    monkeypatch.setattr(
+        TwoColoring, "__post_init__", lambda self: built.append(1) or post_init(self)
+    )
+    res = ramsey_number("K30", "K30", 47, 48, SearchConfig(node_budget=2000))
+    assert built == []
+    assert res.status == "budget_exhausted"
+    assert res.stats == SearchStats(nodes=2001)
+    assert sum(cap.nodes for cap in res.caps) == 2001
+    assert len(res.caps) == 78
+    assert {(cap.source, cap.value) for cap in res.caps} == {("search", None)}
+    assert res.caps[0].caps_for == [("red", _as_pattern("K30"), _as_pattern("K30"))]
+    assert sorted(Counter((cap.free_order, cap.nodes) for cap in res.caps).items()) == [
+        ((0, 0), 12), ((1, 0), 11), ((2, 1), 10), ((3, 4), 9), ((4, 10), 8), ((5, 20), 7),
+        ((6, 35), 6), ((7, 56), 5), ((8, 84), 4), ((9, 120), 3), ((10, 165), 2),
+        ((10, 219), 1),
+    ]
+    caps = [
+        (cap.red, cap.blue, cap.source, cap.free_order, cap.value, cap.nodes, cap.caps_for)
+        for cap in res.caps
+    ]
+    assert hashlib.sha256(repr(caps).encode()).hexdigest() == (
+        "4b2e443935a65a802efdf71e3d14471b688b705946e122ca9198508cffda6980"
+    )
 
 
 def test_star_critical_budget():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 
@@ -64,3 +65,13 @@ def test_tracer_counts_cache_records_parsed(tmp_path, capsys):
     snap = tracer.snapshot()
     assert snap["cache.lookup.calls"] == 2 and snap["cache.lookup.hits"] == 1
     assert snap["cache.records_parsed"] >= 1
+
+
+def test_anchored_check_keeps_the_signature_the_tracer_wraps():
+    # the tracer's wrapper of search._new_containment takes exactly these
+    # parameters, positionally, and passes them on
+    search = importlib.import_module("fanram.search")
+    params = inspect.signature(search._new_containment).parameters
+    assert list(params) == ["rows", "n", "target", "u", "v"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+               for p in params.values())
