@@ -1,9 +1,12 @@
 """Append-only result cache: one JSON object per line, newest match wins.
 
 A cache hit is advisory only. Lookups skip records written by another tool
-version, and embedded certificates are re-validated before a record is
-trusted; anything unreadable is skipped with a warning so a damaged file
-degrades to a miss, never to a wrong answer.
+version; anything unreadable is skipped with a warning so a damaged file
+degrades to a miss, never to a wrong answer. The command line replays only
+search records, after checking the report's header and re-validating its
+witness certificate. A check-free report is stored only when the newest
+record of its key differs, and is never replayed: re-validating one would
+cost the check itself.
 
 Records are stored compactly with their key fields first, so a lookup
 skips, unparsed, every line that starts like a compact record of another
@@ -65,7 +68,7 @@ def record_from_obj(obj) -> ResultRecord:
     return rec
 
 
-def _warn(message: str) -> None:
+def warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
@@ -105,7 +108,7 @@ def load_records(
             if line.strip():
                 records.append(record_from_obj(json.loads(line)))
         except (UnicodeDecodeError, json.JSONDecodeError, CorruptRecord) as exc:
-            _warn(f"cache line {lineno} skipped: {exc}")
+            warn(f"cache line {lineno} skipped: {exc}")
     return records
 
 

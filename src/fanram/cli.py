@@ -15,16 +15,14 @@ import sys
 from functools import cache
 
 from . import bounds, io, patterns, search
-from .cache import ResultRecord, cache_lookup, cache_store, load_records
+from .cache import ResultRecord, cache_lookup, cache_store, load_records, warn
 from .colorings import (
     Certificate,
-    TwoColoring,
     burr_coloring,
     certificate_payload,
     check_free,
     lemma27_construction,
     load_certificate,
-    recheck_certificate,
     thm17_construction,
 )
 from .errors import CorruptRecord, FanramError, RangeError
@@ -105,18 +103,12 @@ def _cache_path(args) -> str | None:
     return os.environ.get("FANRAM_CACHE") or None
 
 
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
-def _backs(kind: str, cert_obj: dict, cert: Certificate, value, params: dict) -> bool:
-    """Whether a re-validated certificate backs the cached record holding
-    it: the same coloring for check-free; a free coloring of K_{value-1} for
-    ramsey; for star, a free coloring of order r whose last vertex has
-    degree value-1 and whose other vertices span a complete graph."""
-    if kind == "certificate":
-        return _holds_key_coloring(cert_obj, params)
-    if not cert.valid or not isinstance(value, int):
+def _backs(kind: str, cert: Certificate, value, params: dict) -> bool:
+    """Whether a re-validated witness certificate backs the search record
+    holding it: a free coloring of K_{value-1} for ramsey; for star, a free
+    coloring of order r whose last vertex has degree value-1 and whose other
+    vertices span a complete graph."""
+    if not cert.valid or type(value) is not int:
         return False
     host = cert.coloring.host
     if kind == "ramsey":
@@ -129,43 +121,39 @@ def _backs(kind: str, cert_obj: dict, cert: Certificate, value, params: dict) ->
     )
 
 
-def _holds_key_coloring(cert_obj, params: dict) -> bool:
-    """Whether a check-free record's certificate holds the graph6 strings of
-    its key, which are those of the coloring looked up."""
-    if not isinstance(cert_obj, dict):
-        return False
-    return (cert_obj.get("host"), cert_obj.get("red")) == (params["host"], params["red"])
+_SEARCH_BODY = ["value", "status", "witness", "stats", "caps"]
 
 
-def _replay(
-    path: str, kind: str, red: str, blue: str, params: dict, coloring: TwoColoring | None = None
-) -> dict | None:
-    """Newest matching cache record whose embedded certificate re-validates,
-    is about the same targets, and backs the record (see _backs); anything
-    else warns and counts as a miss. check-free passes the coloring it
-    looked up: a certificate that holds its strings is re-checked on it,
-    with nothing decoded again."""
+def _replay(path: str, kind: str, red: str, blue: str, params: dict) -> dict | None:
+    """Newest matching search record that this command may print as stored.
+    Its witness must re-validate through load_certificate and back the
+    record (see _backs); its report must have the fields this command
+    prints, in order, with the same header (format, command, targets and
+    params) and status "exact". Anything else warns and counts as a miss.
+    Stats and caps are replayed as stored."""
     rec = cache_lookup(path, kind, red, blue, params)
     if rec is None:
         return None
-    cert_obj = rec.artifact.get("certificate") or rec.artifact.get("witness")
+    stored = rec.artifact
     try:
-        if kind == "certificate" and _holds_key_coloring(cert_obj, params):
-            cert = recheck_certificate(cert_obj, coloring)
-        else:
-            cert = load_certificate(json.dumps(cert_obj))
+        cert = load_certificate(json.dumps(stored.get("witness")))
     except CorruptRecord as exc:
-        _warn(f"cached record failed re-validation, recomputing: {exc}")
+        warn(f"cached record failed re-validation, recomputing: {exc}")
         return None
-    value = rec.artifact.get("value")
+    header = _report(kind, red=red, blue=blue, **params)
+    value = stored.get("value")
     if (
-        (format_target(cert.red_target), format_target(cert.blue_target)) != (red, blue)
+        list(stored) != [*header, *_SEARCH_BODY]
+        or any(type(stored[name]) is not type(field) or stored[name] != field
+               for name, field in header.items())
+        or stored["status"] != "exact"
+        or (format_target(cert.red_target), format_target(cert.blue_target)) != (red, blue)
         or rec.value != value
-        or not _backs(kind, cert_obj, cert, value, params)
+        or not _backs(kind, cert, value, params)
     ):
-        _warn(f"cached {kind} record is not backed by its certificate, recomputing")
+        warn(f"cached {kind} record is not backed by its certificate, recomputing")
         return None
-    return rec.artifact
+    return stored
 
 
 # ---------------------------------------------------------------------------
@@ -238,35 +226,28 @@ def _cmd_check_free(args) -> int:
         raise UsageError(
             "no targets: pass --red/--blue or use a file with target metadata"
         )
-    red_c = format_target(parse_target(red))
-    blue_c = format_target(parse_target(blue))
-    params = {"host": encode(coloring.host), "red": encode(coloring.red_graph())}
-    cache_file = _cache_path(args)
-    if cache_file:
-        stored = _replay(cache_file, "certificate", red_c, blue_c, params, coloring)
-        if stored is not None:
-            # records are keyed on the coloring, not the file: report this one
-            stored["file"] = args.file
-            _emit(stored)
-            return 0 if stored["certificate"]["red_witness"] is None and stored[
-                "certificate"
-            ]["blue_witness"] is None else 1
     cert = check_free(coloring, red, blue)
     doc = _report("check-free", file=args.file, certificate=_cert_obj(cert))
     _emit(doc)
+    cache_file = _cache_path(args)
     if cache_file:
-        cache_store(
-            cache_file,
-            ResultRecord(
-                kind="certificate",
-                red_target=red_c,
-                blue_target=blue_c,
-                params=params,
-                value=None,
-                artifact=doc,
-            ),
-        )
+        _store_certificate(cache_file, doc)
     return 0 if cert.valid else 1
+
+
+def _store_certificate(path: str, doc: dict) -> None:
+    """Append a check-free report unless the newest record of its key (the
+    coloring and targets) already equals it apart from the file checked.
+    Records are never replayed: a check costs what re-validating one would."""
+    payload = doc["certificate"]
+    red, blue = payload["red_target"], payload["blue_target"]
+    params = {"host": payload["host"], "red": payload["red"]}
+    rec = cache_lookup(path, "certificate", red, blue, params)
+    if rec is not None:
+        if {**rec.artifact, "file": doc["file"]} == doc:
+            return
+        warn("cached record failed re-validation, storing this check")
+    cache_store(path, ResultRecord("certificate", red, blue, params, None, doc))
 
 
 def _cmd_detect(args) -> int:
@@ -310,35 +291,34 @@ def _cmd_bound(args) -> int:
     return 0 if rep.validity.satisfied else 1
 
 
-def _search_report(command: str, args, result: search.SearchResult, extra: dict) -> dict:
+def _search_report(
+    command: str, red: str, blue: str, params: dict, result: search.SearchResult
+) -> dict:
     witness_obj = None
     if result.witness is not None:
-        witness_obj = _cert_obj(check_free(result.witness, args.red, args.blue))
-    doc = _report(
+        witness_obj = _cert_obj(check_free(result.witness, red, blue))
+    return _report(
         command,
-        red=format_target(parse_target(args.red)),
-        blue=format_target(parse_target(args.blue)),
-        **extra,
+        red=red,
+        blue=blue,
+        **params,
         value=result.value,
         status=result.status,
         witness=witness_obj,
         stats=_stats_obj(result.stats),
         caps=[_cap_obj(cap) for cap in result.caps],
     )
-    return doc
 
 
-def _finish_search(
-    args, command: str, kind: str, params: dict, runner
-) -> int:
+def _finish_search(args, command: str, params: dict, runner) -> int:
     red_c = format_target(parse_target(args.red))
     blue_c = format_target(parse_target(args.blue))
     cache_file = _cache_path(args)
     if cache_file:
-        stored = _replay(cache_file, kind, red_c, blue_c, params)
-        if stored is not None:
+        stored = _replay(cache_file, command, red_c, blue_c, params)
+        if stored is not None:  # an exact value backed by its witness
             _emit(stored)
-            return _search_exit(stored.get("status"), stored.get("value"))
+            return 0
     try:
         result = runner()
     except RangeError as exc:
@@ -353,21 +333,13 @@ def _finish_search(
         )
         _emit(doc)
         return 1
-    doc = _search_report(command, args, result, params)
+    doc = _search_report(command, red_c, blue_c, params, result)
     _emit(doc)
     # a value without a witness (r = 1, or a star value of 0) could never
     # pass _backs on replay, so it is not stored
     if cache_file and result.status == "exact" and result.witness is not None:
         cache_store(
-            cache_file,
-            ResultRecord(
-                kind=kind,
-                red_target=red_c,
-                blue_target=blue_c,
-                params=params,
-                value=result.value,
-                artifact=doc,
-            ),
+            cache_file, ResultRecord(command, red_c, blue_c, params, result.value, doc)
         )
     return _search_exit(result.status, result.value)
 
@@ -386,7 +358,6 @@ def _cmd_ramsey(args) -> int:
     return _finish_search(
         args,
         "ramsey",
-        "ramsey",
         params,
         lambda: search.ramsey_number(args.red, args.blue, args.lo, args.hi, cfg),
     )
@@ -397,7 +368,6 @@ def _cmd_star(args) -> int:
     params = {"r": args.r}
     return _finish_search(
         args,
-        "star",
         "star",
         params,
         lambda: search.star_critical(args.red, args.blue, args.r, cfg),

@@ -135,23 +135,12 @@ def serialize_certificate(cert: Certificate) -> str:
 
 
 def load_certificate(text: str) -> Certificate:
-    """Parse a serialized certificate, re-run the check, and require that the
-    recomputed verdicts and hash match the stored ones."""
+    """Parse a serialized certificate, decode its coloring from the host and
+    red strings, re-run the check, and require that the recomputed verdicts
+    and hash match the stored ones."""
     try:
         doc = json.loads(text)
-    except Exception as exc:  # noqa: BLE001 - any defect is corruption here
-        raise CorruptRecord(f"certificate unreadable: {exc}") from exc
-    return recheck_certificate(doc)
-
-
-def recheck_certificate(doc, coloring: TwoColoring | None = None) -> Certificate:
-    """Re-run the check a parsed certificate records and require that the
-    recomputed hash matches the stored one. The coloring is decoded from the
-    certificate's host and red strings, unless the caller already holds the
-    coloring they encode and passes it."""
-    try:
-        if coloring is None:
-            coloring = coloring_from_graphs(decode(doc["host"]), decode(doc["red"]))
+        coloring = coloring_from_graphs(decode(doc["host"]), decode(doc["red"]))
         red_t = parse_target(doc["red_target"])
         blue_t = parse_target(doc["blue_target"])
         stored_hash = doc["content_hash"]

@@ -506,7 +506,8 @@ def ramsey_number(
     extremal construction applies and verifies free at order c >= lo - 1,
     every order up to c admits a free coloring by restriction, so the scan
     starts at c+1 with the construction as pending witness. Raises
-    RangeError when every order in the range still admits a free coloring;
+    RangeError when every order in the range still admits a free coloring,
+    or when K_lo is refuted and so is K_{lo-1} (the value is below lo);
     a blown node budget yields status "budget_exhausted" instead of a value.
     """
     if not 1 <= lo <= hi:
@@ -536,6 +537,11 @@ def ramsey_number(
                     witness = exists_free_coloring(
                         complete(order - 1), red_t, blue_t, cfg, _stats=stats, _caps=caps
                     )
+                    if witness is None:
+                        raise RangeError(
+                            f"K_{order - 1} admits no free coloring, so the value is "
+                            f"below {lo}"
+                        )
                 return SearchResult(order, witness, "exact", stats, caps.used())
             witness = found
     except BudgetExhausted:

@@ -198,6 +198,15 @@ def test_ramsey_range_failure_exits_one(capsys):
     assert doc["value"] is None and doc["status"] == "no_value_in_range"
 
 
+def test_ramsey_lo_above_the_value_exits_one(capsys):
+    code, doc, _ = run_json(
+        capsys, "ramsey", "--red", "K3", "--blue", "K3", "--lo", "8", "--hi", "10"
+    )
+    assert code == 1
+    assert doc["value"] is None and doc["status"] == "no_value_in_range"
+    assert doc["error"] == "K_7 admits no free coloring, so the value is below 8"
+
+
 def test_ramsey_budget_exit_two(capsys):
     code, doc, _ = run_json(
         capsys,
@@ -459,6 +468,67 @@ def test_cache_certificate_records(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert len(cache.read_text().splitlines()) == 1
+
+
+def _lemma27_file(tmp_path, capsys):
+    out_file = tmp_path / "c.fr2"
+    run(
+        capsys,
+        "construct", "--family", "lemma27",
+        "--s", "2", "--t", "2", "--n", "1", "--out", str(out_file),
+    )
+    return out_file
+
+
+def test_cache_check_free_prints_its_own_check_not_the_record(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = ["check-free", "--file", str(_lemma27_file(tmp_path, capsys))]
+    run(capsys, *args, "--cache", str(cache))
+    rec = json.loads(cache.read_text())
+    rec["artifact"]["command"] = "ramsey"
+    rec["artifact"]["extra"] = 1
+    cache.write_text(json.dumps(rec) + "\n")
+    code, out, err = run(capsys, *args, "--cache", str(cache))
+    assert (code, out) == run(capsys, *args)[:2]
+    assert "re-validation" in err and err.count("\n") == 1
+    lines = cache.read_text().splitlines()
+    assert len(lines) == 2
+    assert json.loads(lines[1])["artifact"] == json.loads(out)
+
+
+def test_cache_check_free_checks_once_on_a_miss_and_on_a_hit(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    args = ["check-free", "--file", str(_lemma27_file(tmp_path, capsys)), "--cache", str(cache)]
+    calls = []
+    monkeypatch.setattr(cli_module, "check_free",
+                        lambda *a: calls.append(a) or check_free(*a))
+    outputs = []
+    for expected in (1, 2):
+        outputs.append(run(capsys, *args))
+        assert len(calls) == expected
+    assert outputs[0] == outputs[1] and outputs[0][2] == ""
+    assert len(cache.read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("status", "budget_exhausted"),
+    ("command", "star"),
+    ("lo", 99),
+    ("hi", 8.0),  # equal to 8 in Python, printed as 8.0
+    ("format", "fanram-report-0"),
+    ("extra", 1),
+])
+def test_cache_search_replay_checks_the_report_header(tmp_path, capsys, field, value):
+    cache = tmp_path / "cache.jsonl"
+    args = M2_F21 + ["--cache", str(cache)]
+    _, out1, _ = run(capsys, *args)
+    rec = json.loads(cache.read_text())
+    rec["artifact"][field] = value
+    cache.write_text(json.dumps(rec) + "\n")
+    code, out2, err = run(capsys, *args)
+    assert (code, out2) == (0, out1)
+    assert "not backed by its certificate" in err
+    assert len(cache.read_text().splitlines()) == 2
 
 
 def test_cache_subcommand_summary(tmp_path, capsys):

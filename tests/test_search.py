@@ -147,6 +147,17 @@ def test_ramsey_range_error():
         ramsey_number("K3", "K3", 5, 3)
 
 
+def test_ramsey_lo_above_the_value_raises():
+    # K7 refuted, and so is the witness order K6: the value lies below lo
+    with pytest.raises(RangeError, match="below 7"):
+        ramsey_number("K3", "K3", 7, 9)
+    res = ramsey_number("K3", "K3", 6, 9)
+    assert (res.value, res.status) == (6, "exact")
+    assert res.witness.host == complete(5) and check_free(res.witness, "K3", "K3").valid
+    res = ramsey_number("K1", "K3", 1, 3)
+    assert (res.value, res.witness) == (1, None)
+
+
 def test_ramsey_budget_exhaustion():
     res = ramsey_number("K4", "K4", 3, 18, SearchConfig(node_budget=500))
     assert res.status == "budget_exhausted"
