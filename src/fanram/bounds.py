@@ -1,6 +1,7 @@
 """Lower-bound machinery: exact chromatic invariants, the multipartite
 lower-bound formula, goodness, the star lower bound, and a registry of
-closed-form values with explicit validity conditions."""
+closed-form values with explicit validity conditions. Registry entries are
+Ramsey numbers r unless their condition names the star-critical r_*."""
 
 from __future__ import annotations
 
@@ -316,6 +317,16 @@ _REGISTRY: dict[str, _Formula] = {
     "thm1.5": _Formula(
         ("n",), "exact", "n >= 4",
         lambda p: 8 * p["n"] + 1,
+        lambda p: p["n"] >= 4,
+    ),
+    "thm1.4star": _Formula(
+        ("n",), "exact", "star-critical r_*(K3, F_{3,n}); n >= 4",
+        lambda p: 3 * p["n"] + 3,
+        lambda p: p["n"] >= 4,
+    ),
+    "thm1.5star": _Formula(
+        ("n",), "exact", "star-critical r_*(K3, F_{4,n}); n >= 4",
+        lambda p: 4 * p["n"] + 4,
         lambda p: p["n"] >= 4,
     ),
     "thm1.6": _Formula(

@@ -91,6 +91,8 @@ def _cap_obj(cap: search.DegreeCap) -> dict:
 def _search_config(args) -> search.SearchConfig:
     cfg = search.SearchConfig()
     if getattr(args, "budget", None) is not None:
+        if args.budget < 0:
+            raise UsageError(f"--budget must be at least 0, got {args.budget}")
         cfg.node_budget = args.budget
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed

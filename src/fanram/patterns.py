@@ -22,12 +22,17 @@ skipped before its packings are tried (_matching_at_least). For t >= 3,
 neighbors with fewer than t-1 neighbors left in the neighborhood are
 peeled off first, and a center with fewer than tn left is skipped.
 
+Cliques for packings come from _cliques_iter, which lists them in
+lexicographic order from one explicit stack of candidate masks.
+
 The coloring search also uses anchored kernels: _fans_through yields the fan
 embeddings that map a pattern edge to a given host edge, and _copies_through
 looks for disjoint copies one of which does. F:2,n needs no packing there:
-when edge uv is added, a center u (or v) needs n disjoint edges in its
-neighborhood, and a common neighbor c, for which uv can only be a blade,
-needs n-1 disjoint edges in N(c) - {u, v} (search._new_containment).
+when edge uv is added, every new fan has a blade through a common neighbor w
+of u and v. A center u (or v) has uv as a spoke and {v, w} (or {u, w}) as a
+blade, and w as a center has uv as a blade; either way n-1 disjoint edges
+must remain in the center's neighborhood without those two vertices
+(search._new_containment).
 """
 
 from __future__ import annotations
@@ -283,25 +288,33 @@ def _clique_number_rows(rows, n: int) -> int:
 
 
 def _cliques_iter(rows, avail: int, t: int, min_v: int) -> Iterator[tuple[int, ...]]:
-    """All ascending t-cliques within avail whose lowest vertex is >= min_v."""
-    start = avail & ~((1 << min_v) - 1) if min_v else avail
-
-    def extend(cur: list[int], cand: int):
-        if len(cur) == t:
-            yield tuple(cur)
-            return
-        rest = cand
-        while rest:
-            if len(cur) + rest.bit_count() < t:
-                return
+    """All ascending t-cliques within avail whose lowest vertex is >= min_v,
+    in lexicographic order. One explicit stack holds, per chosen vertex, the
+    candidates left to try after it; every candidate of the last level
+    completes a clique, so that level is yielded in one pass."""
+    if t <= 0:
+        yield ()
+        return
+    cur: list[int] = []
+    stack = [avail >> min_v << min_v]
+    while stack:
+        rest = stack[-1]
+        depth = len(cur)
+        if depth + 1 == t:
+            prefix = tuple(cur)
+            for v in bits(rest):
+                yield prefix + (v,)
+        elif depth + rest.bit_count() >= t:
             low = rest & -rest
-            v = low.bit_length() - 1
             rest ^= low
+            stack[-1] = rest
+            v = low.bit_length() - 1
             cur.append(v)
-            yield from extend(cur, rest & rows[v])
+            stack.append(rest & rows[v])
+            continue
+        stack.pop()
+        if cur:
             cur.pop()
-
-    yield from extend([], start)
 
 
 def _fans_iter(rows, avail: int, fan: Fan, low: int) -> Iterator[tuple[int, ...]]:

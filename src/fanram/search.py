@@ -143,10 +143,12 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
     now maps a pattern edge to uv and detection is anchored there. Cliques
     need K_{m-2} in the common neighborhood; F:t,1 is the clique K_{t+1}.
     Fans need a center in {u, v} or the common neighborhood (_fans_through).
-    For t = 2 the blades are a matching, anchored at its blade: a center u
-    (or v) needs n disjoint edges in its neighborhood, one of them through
-    v (or u); a common neighbor c can only gain a fan in which uv is a
-    blade, so it needs n-1 disjoint edges in N(c) - {u, v}.
+    For t = 2 the blades are a matching, and every center is anchored at
+    its blade through a common neighbor w: a center u can only gain a fan
+    in which uv is a spoke and {v, w} a blade, so it needs n-1 disjoint
+    edges in N(u) - {v, w} (v the same, with u and v swapped); a center w
+    can only gain one in which uv is a blade, so it needs n-1 disjoint
+    edges in N(w) - {u, v}. For F:2,2 each is a one-edge scan.
     M:s needs s-1 disjoint edges avoiding u and v. Copies of a clique or fan
     need one copy through uv and count-1 more outside it. Explicit patterns
     and their copies fall back to a full check, which is equally sound.
@@ -160,15 +162,16 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
     if isinstance(target, Fan):
         if target.t == 2:
             # F:2,n centered at c is n disjoint edges in N(c); uv joins one
-            # only through a common neighbor (its blade partner or center)
-            common = rows[u] & rows[v]
-            if not common:
-                return False
-            k = target.n
-            if _matching_at_least(rows, rows[u], k) or _matching_at_least(rows, rows[v], k):
-                return True
-            ends = 1 << u | 1 << v
-            return any(_matching_at_least(rows, rows[c] & ~ends, k - 1) for c in bits(common))
+            # only through a common neighbor w, as the spoke to blade {v, w}
+            # of center u (or {u, w} of center v) or as the blade of center w
+            k = target.n - 1
+            bu, bv = 1 << u, 1 << v
+            return any(
+                _matching_at_least(rows, rows[u] & ~(bv | 1 << w), k)
+                or _matching_at_least(rows, rows[v] & ~(bu | 1 << w), k)
+                or _matching_at_least(rows, rows[w] & ~(bu | bv), k)
+                for w in bits(rows[u] & rows[v])
+            )
         return next(_fans_through(rows, target, u, v), None) is not None
     if isinstance(target, Matching):
         avoid = ((1 << n) - 1) & ~(1 << u | 1 << v)

@@ -167,7 +167,7 @@ def test_formula_ids_known():
     ids = formula_ids()
     for fid in (
         "thm1.3i", "thm1.3ii", "thm1.3iii", "thm1.3iv",
-        "thm1.4", "thm1.5", "thm1.6", "thm1.7lo", "thm1.7hi",
+        "thm1.4", "thm1.4star", "thm1.5", "thm1.5star", "thm1.6", "thm1.7lo", "thm1.7hi",
         "thm1.11", "lem2.1", "lem2.7", "cor1.8", "cor1.9", "cor1.10",
         "conj1.2",
     ):
@@ -189,6 +189,17 @@ def test_formula_values():
     )
     assert closed_formula("thm1.11", {"t": 3, "m": 2, "n": 2}).value == 18
     assert closed_formula("cor1.9", {"t": 3, "n": 5, "s": 1}).value == 31
+
+
+def test_star_critical_formulas():
+    # Hao-Lin: r_*(K3, F_{3,n}) = 3n+3; the paper: r_*(K3, F_{4,n}) = 4n+4;
+    # both for n >= 4, and both say they are star-critical
+    for fid, t, value in (("thm1.4star", 3, 15), ("thm1.5star", 4, 20)):
+        rep = closed_formula(fid, {"n": 4})
+        assert (rep.value, rep.kind, rep.validity.satisfied) == (value, "exact", True)
+        assert f"r_*(K3, F_{{{t},n}})" in rep.validity.condition
+        below = closed_formula(fid, {"n": 3})
+        assert below.value == value - t and not below.validity.satisfied
 
 
 def test_formula_validity_flags():

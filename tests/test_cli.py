@@ -217,6 +217,23 @@ def test_ramsey_budget_exit_two(capsys):
     assert doc["status"] == "budget_exhausted"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ramsey", "--red", "K3", "--blue", "K3", "--lo", "3", "--hi", "8"],
+        ["star", "--red", "K3", "--blue", "K3", "--r", "6"],
+    ],
+)
+def test_negative_budget_is_a_usage_error(capsys, tmp_path, argv):
+    cache = tmp_path / "c.jsonl"
+    code, out, err = run(capsys, *argv, "--budget", "-1", "--cache", str(cache))
+    assert (code, out) == (2, "")
+    assert err == "error: --budget must be at least 0, got -1\n"
+    assert not cache.exists()
+    code, doc, _ = run_json(capsys, *argv, "--budget", "0")
+    assert (code, doc["status"], doc["stats"]["nodes"]) == (2, "budget_exhausted", 1)
+
+
 def test_ramsey_deep_search_exits_one_without_traceback(capsys):
     # K45 has 990 edges, one DFS level each; every coloring of it is free
     code, doc, err = run_json(

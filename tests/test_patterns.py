@@ -27,6 +27,7 @@ from fanram.patterns import (
     Fan,
     Matching,
     _clique_search,
+    _cliques_iter,
     _matching_at_least,
     clique_number,
     contains_clique,
@@ -144,6 +145,26 @@ def test_clique_search_finds_the_first_clique():
                 None,
             )
             assert _clique_search(g.rows, avail, m) == first, (trial, m, g.edges(), avail)
+
+
+def test_cliques_iter_lists_every_clique_in_lexicographic_order():
+    # the first witness of every packing follows this order, so the stack
+    # enumerator must yield exactly the brute-force list, in the same order
+    rng = random.Random(29)
+    for trial in range(200):
+        order = rng.randrange(0, 17)
+        g = random_graph(rng, order, rng.uniform(0.2, 0.95))
+        avail = rng.getrandbits(order) if order else 0
+        min_v = rng.randrange(0, order + 2)
+        within = [v for v in range(order) if avail >> v & 1]
+        for t in range(6):
+            expect = [
+                c for c in combinations(within, t)
+                if (not c or c[0] >= min_v)
+                and all(g.has_edge(a, b) for a, b in combinations(c, 2))
+            ]
+            got = list(_cliques_iter(g.rows, avail, t, min_v))
+            assert got == expect, (trial, t, min_v, g.edges(), avail)
 
 
 def test_clique_number_corpus():

@@ -13,7 +13,7 @@ from fanram.colorings import TwoColoring, check_free, lemma27_construction, thm1
 from fanram.errors import BadParam, BudgetExhausted, PreconditionViolated, RangeError
 from fanram.graph6 import encode
 from fanram.graphs import complete, from_edges, is_connected
-from fanram.patterns import _contains_rows, contains_target, parse_target, pattern_order
+from fanram.patterns import _blossom, _contains_rows, contains_target, parse_target, pattern_order
 from fanram.search import (
     SearchConfig,
     SearchStats,
@@ -193,6 +193,7 @@ P3 = "G6:" + encode(from_edges(3, [(0, 1), (1, 2)]))
     [
         "K4", "K5", "F:1,3", "F:2,2", "F:2,3", "F:2,4", "F:3,1", "F:3,2", "M:3", "2xK3",
         "2xF:2,1", "3xF:2,1", "2xF:1,3", "2xF:2,2", "2xF:3,1", "2xF:3,2", C4, "2x" + P3,
+        "F:2,5", "F:4,2", "2xK4",
     ],
 )
 def test_anchored_containment_matches_full_check(target):
@@ -222,6 +223,35 @@ def test_anchored_containment_matches_full_check(target):
                 checked += 1
                 hits += full
     assert 0 < hits < checked
+
+
+def test_fan22_centers_need_no_blossom(monkeypatch):
+    # an F:2,n center u gains its fan through spoke uv, so a common neighbor
+    # w is v's blade partner and n-1 more edges lie in N(u) - {v, w}; for
+    # F:2,2 that is a one-edge scan, and the DFS runs no blossom at all
+    depth = blossoms = 0
+
+    def counted_blossom(*args, **kwargs):
+        nonlocal blossoms
+        blossoms += depth > 0
+        return _blossom(*args, **kwargs)
+
+    def tracked(*args):
+        nonlocal depth
+        depth += 1
+        try:
+            return _new_containment(*args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr("fanram.patterns._blossom", counted_blossom)
+    monkeypatch.setattr("fanram.search._new_containment", tracked)
+    res = ramsey_number("K4", "F:2,2", 13, 13, SearchConfig(node_budget=14000))
+    assert res.status == "budget_exhausted"
+    assert blossoms == 0
+    assert res.stats == SearchStats(
+        nodes=14001, red_prunes=2061, blue_prunes=2770, degree_prunes=1982, iso_prunes=315
+    )
 
 
 def _free_colorings(order: int, red, blue, iso: bool) -> list[tuple[bool, ...]]:
