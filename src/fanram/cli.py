@@ -2,8 +2,8 @@
 
 Every run prints one JSON report with fixed field order on standard output.
 Exit codes: 0 found/true/valid, 1 absent/false/invalid, 2 usage or runtime
-error. Reports contain nothing run-dependent (no timestamps, no thread
-hints), so identical inputs produce identical bytes.
+error. Reports contain nothing run-dependent (no timestamps), so identical
+inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from functools import cache
 
 from . import bounds, io, patterns, search
@@ -19,7 +20,7 @@ from .cache import ResultRecord, cache_lookup, cache_store, load_records, warn
 from .colorings import (
     Certificate,
     burr_coloring,
-    certificate_payload,
+    certificate_obj,
     check_free,
     lemma27_construction,
     load_certificate,
@@ -41,36 +42,6 @@ def _report(command: str, **fields) -> dict:
 
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
-
-
-def _cert_obj(cert: Certificate) -> dict:
-    doc = certificate_payload(cert)
-    doc["content_hash"] = cert.content_hash
-    return doc
-
-
-def _validity_obj(v: bounds.Validity) -> dict:
-    return {"condition": v.condition, "satisfied": v.satisfied, "assumed": v.assumed}
-
-
-def _bound_obj(rep: bounds.BoundReport) -> dict:
-    return {
-        "formula_id": rep.formula_id,
-        "params": rep.params,
-        "value": rep.value,
-        "kind": rep.kind,
-        "validity": _validity_obj(rep.validity),
-    }
-
-
-def _stats_obj(st: search.SearchStats) -> dict:
-    return {
-        "nodes": st.nodes,
-        "red_prunes": st.red_prunes,
-        "blue_prunes": st.blue_prunes,
-        "degree_prunes": st.degree_prunes,
-        "iso_prunes": st.iso_prunes,
-    }
 
 
 def _cap_obj(cap: search.DegreeCap) -> dict:
@@ -212,7 +183,7 @@ def _cmd_construct(args) -> int:
         host=encode(coloring.host),
         red=encode(coloring.red_graph()),
         out=args.out,
-        certificate=_cert_obj(cert) if cert else None,
+        certificate=certificate_obj(cert) if cert else None,
     )
     _emit(doc)
     if cert is not None and not cert.valid:
@@ -229,7 +200,7 @@ def _cmd_check_free(args) -> int:
             "no targets: pass --red/--blue or use a file with target metadata"
         )
     cert = check_free(coloring, red, blue)
-    doc = _report("check-free", file=args.file, certificate=_cert_obj(cert))
+    doc = _report("check-free", file=args.file, certificate=certificate_obj(cert))
     _emit(doc)
     cache_file = _cache_path(args)
     if cache_file:
@@ -288,7 +259,7 @@ def _cmd_bound(args) -> int:
             rep = bounds.burr_bound(g, h)
         else:
             rep = bounds.star_lower_bound(g, h)
-    doc = _report("bound", kind=args.kind, report=_bound_obj(rep))
+    doc = _report("bound", kind=args.kind, report=asdict(rep))
     _emit(doc)
     return 0 if rep.validity.satisfied else 1
 
@@ -298,7 +269,7 @@ def _search_report(
 ) -> dict:
     witness_obj = None
     if result.witness is not None:
-        witness_obj = _cert_obj(check_free(result.witness, red, blue))
+        witness_obj = certificate_obj(check_free(result.witness, red, blue))
     return _report(
         command,
         red=red,
@@ -307,7 +278,7 @@ def _search_report(
         value=result.value,
         status=result.status,
         witness=witness_obj,
-        stats=_stats_obj(result.stats),
+        stats=asdict(result.stats),
         caps=[_cap_obj(cap) for cap in result.caps],
     )
 
@@ -441,7 +412,6 @@ def _add_search_flags(p) -> None:
     p.add_argument("--red", required=True, help="red target (grammar: K3, F:2,1, M:2, 2xF:2,2, G6:...)")
     p.add_argument("--blue", required=True, help="blue target")
     p.add_argument("--budget", type=int, help="DFS node budget")
-    p.add_argument("--threads", type=int, help="accepted and ignored: the search is sequential")
     _add_cache_flag(p)
 
 

@@ -128,10 +128,16 @@ def _hash_payload(payload: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def serialize_certificate(cert: Certificate) -> str:
+def certificate_obj(cert: Certificate) -> dict:
+    """The payload followed by its content hash: a certificate as stored and
+    reported."""
     doc = certificate_payload(cert)
     doc["content_hash"] = cert.content_hash
-    return json.dumps(doc, indent=2)
+    return doc
+
+
+def serialize_certificate(cert: Certificate) -> str:
+    return json.dumps(certificate_obj(cert), indent=2)
 
 
 def load_certificate(text: str) -> Certificate:

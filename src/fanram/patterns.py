@@ -5,11 +5,13 @@ fan, a matching, disjoint copies of a connected pattern, or an explicit graph.
 All oracles are exact and deterministic: candidate vertices are always tried
 in ascending index order, so the first witness found is reproducible.
 
-Three kernels check every kind. Cliques: one branch-and-bound,
-_clique_search, which the clique and independence numbers also ascend; its
-greedy coloring bound runs only while three or more vertices are left to
-choose, since with fewer the expansion finds out as soon, and with one left
-the lowest candidate completes the clique.
+Three kernels check every kind. Cliques: one branch-and-bound, the
+explicit-stack enumerator _cliques_iter, which lists cliques in
+lexicographic order; its greedy coloring bound runs only while three or more
+vertices are left to choose, since with fewer the expansion finds out as
+soon, and with one left every candidate completes a clique. The first
+clique (_clique_search), the clique and independence numbers, and the
+cliques of every packing all come from it.
 Matchings: Edmonds' blossom algorithm. Everything else is a packing:
 _packings yields k disjoint embeddings of a connected pattern with copies
 ordered by ascending first vertex (a clique's lowest vertex, a fan's
@@ -21,9 +23,6 @@ matching, so a center whose neighborhood has matching number below n is
 skipped before its packings are tried (_matching_at_least). For t >= 3,
 neighbors with fewer than t-1 neighbors left in the neighborhood are
 peeled off first, and a center with fewer than tn left is skipped.
-
-Cliques for packings come from _cliques_iter, which lists them in
-lexicographic order from one explicit stack of candidate masks.
 
 The coloring search also uses anchored kernels: _fans_through yields the fan
 embeddings that map a pattern edge to a given host edge, and _copies_through
@@ -243,39 +242,7 @@ def _greedy_bound(rows, mask: int, cutoff: int) -> int:
 
 def _clique_search(rows, avail: int, m: int) -> tuple[int, ...] | None:
     """First m-clique within avail in ascending order, or None."""
-    if m <= 0:
-        return ()
-    out: list[int] = []
-
-    def expand(cur: list[int], cand: int) -> bool:
-        need = m - len(cur)
-        if cand.bit_count() < need:
-            return False
-        if need == 1:
-            # every candidate completes the clique; the lowest comes first
-            out.extend(cur)
-            out.append((cand & -cand).bit_length() - 1)
-            return True
-        # with two left to choose, the expansion below finds out as soon
-        # as a color bound would
-        if need >= 3 and _greedy_bound(rows, cand, need) < need:
-            return False
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            cur.append(v)
-            if expand(cur, rest & rows[v]):
-                return True
-            cur.pop()
-            if len(cur) + rest.bit_count() < m:
-                return False
-        return False
-
-    if expand([], avail):
-        return tuple(out)
-    return None
+    return next(_cliques_iter(rows, avail, m, 0), None)
 
 
 def _clique_number_rows(rows, n: int) -> int:
@@ -291,27 +258,35 @@ def _cliques_iter(rows, avail: int, t: int, min_v: int) -> Iterator[tuple[int, .
     """All ascending t-cliques within avail whose lowest vertex is >= min_v,
     in lexicographic order. One explicit stack holds, per chosen vertex, the
     candidates left to try after it; every candidate of the last level
-    completes a clique, so that level is yielded in one pass."""
+    completes a clique, so that level is yielded in one pass. A level is
+    cut when its candidates are fewer than the vertices left to choose or,
+    on entry with three or more left, when a greedy coloring of them has
+    fewer classes. Cuts drop no clique, so the order is kept."""
     if t <= 0:
         yield ()
         return
     cur: list[int] = []
     stack = [avail >> min_v << min_v]
+    fresh = True
     while stack:
         rest = stack[-1]
-        depth = len(cur)
-        if depth + 1 == t:
+        need = t - len(cur)
+        if need == 1:
             prefix = tuple(cur)
             for v in bits(rest):
                 yield prefix + (v,)
-        elif depth + rest.bit_count() >= t:
+        elif rest.bit_count() >= need and not (
+            fresh and need >= 3 and _greedy_bound(rows, rest, need) < need
+        ):
             low = rest & -rest
             rest ^= low
             stack[-1] = rest
             v = low.bit_length() - 1
             cur.append(v)
             stack.append(rest & rows[v])
+            fresh = True
             continue
+        fresh = False
         stack.pop()
         if cur:
             cur.pop()
@@ -361,6 +336,16 @@ def _fans_through(rows, fan: Fan, u: int, v: int) -> Iterator[tuple[int, ...]]:
                 yield (c,) + blade + tuple(w for cl in blades for w in cl)
 
 
+def _copies_kernel(inner: TargetPattern):
+    """The embed generator and its pat parameter (see _packings) for copies
+    of a connected clique, fan or explicit pattern."""
+    if isinstance(inner, Clique):
+        return _cliques_iter, inner.size
+    if isinstance(inner, Fan):
+        return _fans_iter, inner
+    return _embed_iter, inner.graph
+
+
 def _copies_through(rows, n: int, count: int, inner: Clique | Fan, u: int, v: int) -> bool:
     """Whether count disjoint copies of a clique (of at least 2 vertices) or
     a fan exist with one copy mapping a pattern edge to the host edge uv:
@@ -371,10 +356,9 @@ def _copies_through(rows, n: int, count: int, inner: Clique | Fan, u: int, v: in
             (u, v) + rest
             for rest in _cliques_iter(rows, rows[u] & rows[v], inner.size - 2, 0)
         )
-        embed, pat = _cliques_iter, inner.size
     else:
         firsts = _fans_through(rows, inner, u, v)
-        embed, pat = _fans_iter, inner
+    embed, pat = _copies_kernel(inner)
     p = pattern_order(inner)
     full = (1 << n) - 1
     seen = set()
@@ -609,14 +593,8 @@ def contains_copies(g: Graph, count: int, inner: TargetPattern) -> EmbeddingWitn
 
 
 def _copies_rows(rows, n: int, target: Copies) -> EmbeddingWitness | None:
-    inner = target.inner
-    p = pattern_order(inner)
-    if isinstance(inner, Clique):
-        embed, pat = _cliques_iter, inner.size
-    elif isinstance(inner, Fan):
-        embed, pat = _fans_iter, inner
-    else:
-        embed, pat = _embed_iter, inner.graph
+    p = pattern_order(target.inner)
+    embed, pat = _copies_kernel(target.inner)
     remaining = target.count
     groups: list[tuple[int, ...]] = []
     for comp in components_rows(rows, n):

@@ -92,6 +92,10 @@ class SearchConfig:
     node_budget: int = 10_000_000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.node_budget < 0:
+            raise BadParam(f"node_budget must be at least 0, got {self.node_budget}")
+
 
 @dataclass
 class SearchStats:

@@ -206,20 +206,17 @@ def test_criterion_8_round_trips_and_determinism(announce):
             assert back == coloring
             assert metadata["note"] == "x"
 
-        def report(threads: int) -> str:
+        def report() -> str:
             buf = io.StringIO()
             with redirect_stdout(buf):
                 code = main(
-                    [
-                        "ramsey", "--red", "M:2", "--blue", "F:2,2",
-                        "--lo", "2", "--hi", "8", "--threads", str(threads),
-                    ]
+                    ["ramsey", "--red", "M:2", "--blue", "F:2,2", "--lo", "2", "--hi", "8"]
                 )
             assert code == 0
             return buf.getvalue()
 
-        first = report(1)
-        assert report(8) == first
-        assert report(1) == first
+        first = report()
+        assert report() == first
+        assert report() == first
 
     announce(8, body)

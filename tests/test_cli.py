@@ -268,6 +268,9 @@ def test_flags_that_did_nothing_are_gone(capsys):
     packing = ["packing-check", "--t", "2", "--n", "2", "--trials", "3"]
     assert run(capsys, *packing, "--budget", "10")[0] == 2
     assert run(capsys, *packing, "--threads", "2")[0] == 2
+    assert run(capsys, *base, "--threads", "2")[0] == 2
+    star = ["star", "--red", "K3", "--blue", "K3", "--r", "6"]
+    assert run(capsys, *star, "--threads", "2")[0] == 2
 
 
 def test_search_reports_record_degree_caps(capsys):
@@ -290,13 +293,10 @@ def test_search_reports_record_degree_caps(capsys):
     ]
 
 
-def test_ramsey_byte_identical_across_thread_hints(capsys):
+def test_ramsey_byte_identical_across_runs(capsys):
     args = ["ramsey", "--red", "K3", "--blue", "K3", "--lo", "3", "--hi", "8"]
-    _, out1, _ = run(capsys, *args, "--threads", "1")
-    _, out8, _ = run(capsys, *args, "--threads", "8")
-    assert out1 == out8
-    _, again, _ = run(capsys, *args, "--threads", "1")
-    assert out1 == again
+    first, second, third = (run(capsys, *args)[1] for _ in range(3))
+    assert first == second == third
 
 
 def test_star_cli(capsys):

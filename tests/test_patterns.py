@@ -167,6 +167,24 @@ def test_cliques_iter_lists_every_clique_in_lexicographic_order():
             assert got == expect, (trial, t, min_v, g.edges(), avail)
 
 
+def test_cliques_iter_cuts_a_level_its_coloring_bound_rules_out(monkeypatch):
+    # K(6,6,6,6,6) has 7,776 5-cliques and no 6-clique; five greedy color
+    # classes settle that at the root, before any vertex is chosen
+    from fanram import patterns
+
+    calls = []
+    bound = patterns._greedy_bound
+
+    def counted(rows, mask, cutoff):
+        calls.append(cutoff)
+        return bound(rows, mask, cutoff)
+
+    monkeypatch.setattr(patterns, "_greedy_bound", counted)
+    g = complete_multipartite([6] * 5)
+    assert list(_cliques_iter(g.rows, (1 << g.order) - 1, 6, 0)) == []
+    assert calls == [6]
+
+
 def test_clique_number_corpus():
     def oracle(g):
         k = 0

@@ -165,6 +165,13 @@ def test_ramsey_budget_exhaustion():
     assert res.stats.nodes > 500
 
 
+def test_negative_budget_is_rejected():
+    with pytest.raises(BadParam, match="node_budget must be at least 0, got -5"):
+        ramsey_number("K3", "K3", 3, 8, SearchConfig(node_budget=-5))
+    res = ramsey_number("K3", "K3", 3, 8, SearchConfig(node_budget=0))
+    assert (res.status, res.stats.nodes) == ("budget_exhausted", 1)
+
+
 def test_exists_budget_raises():
     with pytest.raises(BudgetExhausted) as exc:
         exists_free_coloring(complete(8), "K4", "K4", SearchConfig(node_budget=100))
