@@ -29,4 +29,4 @@ for s, t, n in [(2, 2, 1), (3, 2, 1), (2, 2, 2)]:
     print(f"r({red}, {blue}) = {res.value} {mark} lem2.7 value {formula.value}")
     # the witness at value - 1 is a concrete free coloring
     w = res.witness
-    print(f"   witness on {w.host.order} vertices, {len(w.red)} red edges")
+    print(f"   witness on {w.host.order} vertices, {w.red_graph().size()} red edges")

@@ -25,6 +25,7 @@ from .colorings import (
     lemma27_construction,
     load_certificate,
     thm17_construction,
+    witness_obj,
 )
 from .errors import CorruptRecord, FanramError, RangeError
 from .graph6 import encode
@@ -152,7 +153,7 @@ def _cmd_construct(args) -> int:
         params = {"s": args.s, "t": args.t, "n": args.n}
         red = f"M:{args.s}"
         blue = f"F:{args.t},{args.n}"
-    elif family == "burr":
+    else:  # burr; argparse rejects any other family
         for name in ("chi", "surplus", "h_order"):
             _require(args, name, family)
         coloring = burr_coloring(args.chi, args.surplus, args.h_order)
@@ -161,8 +162,6 @@ def _cmd_construct(args) -> int:
         blue = args.blue
         if (red is None) != (blue is None):
             raise UsageError("burr certification needs both --red and --blue")
-    else:
-        raise UsageError(f"unknown family {family!r}")
     if args.red is not None:
         red = args.red
     if args.blue is not None:
@@ -232,9 +231,7 @@ def _cmd_detect(args) -> int:
         graph=encode(g),
         target=format_target(target),
         found=w is not None,
-        witness=None
-        if w is None
-        else {"pattern_order": w.pattern_order, "groups": [list(gr) for gr in w.groups]},
+        witness=witness_obj(w),
     )
     _emit(doc)
     return 0 if w is not None else 1
@@ -267,9 +264,9 @@ def _cmd_bound(args) -> int:
 def _search_report(
     command: str, red: str, blue: str, params: dict, result: search.SearchResult
 ) -> dict:
-    witness_obj = None
+    witness = None
     if result.witness is not None:
-        witness_obj = certificate_obj(check_free(result.witness, red, blue))
+        witness = certificate_obj(check_free(result.witness, red, blue))
     return _report(
         command,
         red=red,
@@ -277,7 +274,7 @@ def _search_report(
         **params,
         value=result.value,
         status=result.status,
-        witness=witness_obj,
+        witness=witness,
         stats=asdict(result.stats),
         caps=[_cap_obj(cap) for cap in result.caps],
     )

@@ -1,5 +1,9 @@
 """Two-colorings of host graphs, freeness certificates, and the extremal
-constructions used as lower-bound witnesses."""
+constructions used as lower-bound witnesses.
+
+A coloring is stored as its red graph; the blue graph is derived from the
+host on construction, so files, certificates and constructions hand over
+graphs."""
 
 from __future__ import annotations
 
@@ -7,7 +11,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import NoReturn
 
 from .errors import BadParam, CorruptRecord, OrderCap, PreconditionViolated, StructureNotFound
 from .graph6 import decode, encode
@@ -18,6 +21,7 @@ from .graphs import (
     complete,
     complement,
     disjoint_union,
+    empty_graph,
 )
 from .patterns import (
     EmbeddingWitness,
@@ -33,57 +37,32 @@ CERT_FORMAT = "fanram-certificate-1"
 
 @dataclass(frozen=True)
 class TwoColoring:
-    """A red/blue edge partition of a host graph. Edges not in `red` are blue.
-    Both color classes are built as graphs once, on construction."""
+    """A red/blue edge partition of a host graph: `red` is the red graph on
+    the host's vertices, and every host edge it lacks is blue. The red graph
+    must have the host's order and lie inside the host; the blue graph is
+    built once, on construction."""
 
     host: Graph
-    red: frozenset[tuple[int, int]]
-    _red: Graph = field(init=False, repr=False, compare=False)
+    red: Graph
     _blue: Graph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.host.order
-        rows = [0] * n
-        for u, v in self.red:
-            if not 0 <= u < v < n:
-                _reject_red_edge(self)
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        red = Graph(n, tuple(rows))
-        host = self.host.rows
-        if any(row & ~h for row, h in zip(red.rows, host)):
-            _reject_red_edge(self)
-        object.__setattr__(self, "_red", red)
-        object.__setattr__(
-            self, "_blue", Graph(n, tuple(h & ~row for row, h in zip(red.rows, host)))
-        )
+        n, red, host = self.host.order, self.red.rows, self.host.rows
+        if self.red.order != n:
+            raise BadParam("red graph order differs from host order")
+        for u, (row, h) in enumerate(zip(red, host)):
+            extra = row & ~h
+            if extra:
+                # rows are symmetric, so the first such row holds the lower end
+                v = (extra & -extra).bit_length() - 1
+                raise BadParam(f"red edge ({u}, {v}) not in the host")
+        object.__setattr__(self, "_blue", Graph(n, tuple(h & ~r for r, h in zip(red, host))))
 
     def red_graph(self) -> Graph:
-        return self._red
+        return self.red
 
     def blue_graph(self) -> Graph:
         return self._blue
-
-    def blue_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self._blue.edges())
-
-
-def _reject_red_edge(coloring: TwoColoring) -> NoReturn:
-    """Raise for the first red edge, in iteration order, that is not a
-    normalized edge of the host."""
-    for u, v in coloring.red:
-        if u >= v:
-            raise BadParam(f"red edge ({u}, {v}) not normalized")
-        if not coloring.host.has_edge(u, v):
-            raise BadParam(f"red edge ({u}, {v}) not in the host")
-        if u < 0:
-            raise BadParam(f"red edge ({u}, {v}) outside 0..{coloring.host.order - 1}")
-
-
-def coloring_from_graphs(host: Graph, red: Graph) -> TwoColoring:
-    if red.order != host.order:
-        raise BadParam("red graph order differs from host order")
-    return TwoColoring(host, frozenset(red.edges()))
 
 
 @dataclass
@@ -104,7 +83,8 @@ class Certificate:
         return self.red_witness is None and self.blue_witness is None
 
 
-def _witness_obj(w: EmbeddingWitness | None):
+def witness_obj(w: EmbeddingWitness | None) -> dict | None:
+    """An embedding witness as stored and reported; None stays None."""
     if w is None:
         return None
     return {"pattern_order": w.pattern_order, "groups": [list(g) for g in w.groups]}
@@ -118,8 +98,8 @@ def certificate_payload(cert: Certificate) -> dict:
         "red": encode(cert.coloring.red_graph()),
         "red_target": format_target(cert.red_target),
         "blue_target": format_target(cert.blue_target),
-        "red_witness": _witness_obj(cert.red_witness),
-        "blue_witness": _witness_obj(cert.blue_witness),
+        "red_witness": witness_obj(cert.red_witness),
+        "blue_witness": witness_obj(cert.blue_witness),
     }
 
 
@@ -146,7 +126,7 @@ def load_certificate(text: str) -> Certificate:
     and hash match the stored ones."""
     try:
         doc = json.loads(text)
-        coloring = coloring_from_graphs(decode(doc["host"]), decode(doc["red"]))
+        coloring = TwoColoring(decode(doc["host"]), decode(doc["red"]))
         red_t = parse_target(doc["red_target"])
         blue_t = parse_target(doc["blue_target"])
         stored_hash = doc["content_hash"]
@@ -193,8 +173,7 @@ def _disjoint_cliques(sizes) -> Graph:
 
 def _coloring_with_blue(blue: Graph) -> TwoColoring:
     """Complete host whose blue graph is `blue` and red graph its complement."""
-    host = complete(blue.order)
-    return coloring_from_graphs(host, complement(blue))
+    return TwoColoring(complete(blue.order), complement(blue))
 
 
 def burr_coloring(chi: int, surplus: int, h_order: int) -> TwoColoring:
@@ -234,31 +213,20 @@ def thm17_construction(m: int, s: int, t: int, n: int) -> TwoColoring:
 def lemma27_construction(s: int, t: int, n: int) -> TwoColoring:
     """Matching-versus-fan lower-bound coloring.
 
-    For n >= s: red is complete bipartite with parts tn and s-1 (order tn+s-1).
+    For n >= s: red is complete bipartite with parts tn and s-1 (order tn+s-1),
+    so blue is K_{tn} followed by K_{s-1}.
     For n < s: red is an empty block of (t-1)n vertices followed by K_{2s-1}
     (order (t-1)n+2s-1). The boundary n = s emits the first branch.
     """
     if s < 1 or t < 1 or n < 1:
         raise BadParam("need s, t, n >= 1")
-    if n >= s:
-        order = t * n + s - 1
-        if order > MAX_ORDER:
-            raise OrderCap(f"order {order} exceeds {MAX_ORDER}")
-        host = complete(order)
-        left = (1 << (t * n)) - 1
-        red = [
-            (u, v)
-            for u, v in host.edges()
-            if bool(left >> u & 1) != bool(left >> v & 1)
-        ]
-        return TwoColoring(host, frozenset(red))
-    order = (t - 1) * n + 2 * s - 1
+    order = t * n + s - 1 if n >= s else (t - 1) * n + 2 * s - 1
     if order > MAX_ORDER:
         raise OrderCap(f"order {order} exceeds {MAX_ORDER}")
-    host = complete(order)
-    lo = (t - 1) * n
-    red = [(u, v) for u, v in host.edges() if u >= lo and v >= lo]
-    return TwoColoring(host, frozenset(red))
+    if n >= s:
+        return _coloring_with_blue(_disjoint_cliques([t * n, s - 1]))
+    red = disjoint_union(empty_graph((t - 1) * n), complete(2 * s - 1))
+    return TwoColoring(complete(order), red)
 
 
 def verify_lemma24(coloring: TwoColoring, n: int) -> tuple[VertexSet, VertexSet]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import os
 
-from .colorings import TwoColoring, coloring_from_graphs
+from .colorings import TwoColoring
 from .errors import ParseError
 from .graph6 import decode, encode
 
@@ -38,7 +38,7 @@ def parse_coloring(text: str) -> tuple[TwoColoring, dict[str, str]]:
         if not key:
             raise ParseError("metadata line with empty key", lineno)
         metadata[key] = value
-    return coloring_from_graphs(host, red), metadata
+    return TwoColoring(host, red), metadata
 
 
 def save_coloring(

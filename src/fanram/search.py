@@ -64,7 +64,7 @@ from .errors import (
     RangeError,
     SamplingFailure,
 )
-from .graphs import Graph, bits, complete, star_augmented
+from .graphs import Graph, bits, complete, relabel, star_augmented
 from .patterns import (
     Clique,
     Copies,
@@ -204,11 +204,15 @@ def _iso_allows(rows_red, split: int, u: int, v: int) -> bool:
     return bool(split >> v & 1 or rows_red[u] >> (v - 1) & 1)
 
 
-def _root_blocked(n: int, red_t: TargetPattern, blue_t: TargetPattern) -> bool:
-    zero = [0] * n
+def _blocked(rows_red, rows_blue, red_t: TargetPattern, blue_t: TargetPattern) -> bool:
+    """Whether the color classes hold their target before any slot is
+    colored; containment is monotone, so then no coloring of the slots is
+    free. Only a pattern with an isolated vertex can embed there: the
+    classes are empty, or free on all but the one vertex no edge reaches."""
+    n = len(rows_red)
     return (
-        _contains_rows(zero, n, red_t) is not None
-        or _contains_rows(zero, n, blue_t) is not None
+        _contains_rows(rows_red, n, red_t) is not None
+        or _contains_rows(rows_blue, n, blue_t) is not None
     )
 
 
@@ -428,7 +432,8 @@ def _free_coloring_dfs(
     per isomorphism class, pruned by the degree windows of caps (None: no
     windows)."""
     n = host.order
-    if _root_blocked(n, red_t, blue_t):
+    rows_red, rows_blue = [0] * n, [0] * n
+    if _blocked(rows_red, rows_blue, red_t, blue_t):
         return
     complete_host = _is_complete(host)
     windows = None
@@ -438,13 +443,26 @@ def _free_coloring_dfs(
             stats.degree_prunes += 1
             return
     yield from _color_slots(
-        host.edges(), [0] * n, [0] * n, red_t, blue_t, cfg, stats, windows, complete_host
+        host.edges(), rows_red, rows_blue, red_t, blue_t, cfg, stats, windows, complete_host
     )
+
+
+def _class_rows(host: Graph, colors: list[bool], n: int) -> tuple[list[int], list[int]]:
+    """Red and blue adjacency rows, on n >= host.order vertices, of the host
+    edges that have these colors (True red) in host.edges() order."""
+    rows_red = [0] * n
+    rows_blue = [0] * n
+    for (u, v), red in zip(host.edges(), colors):
+        rows = rows_red if red else rows_blue
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows_red, rows_blue
 
 
 def _coloring_of(host: Graph, colors: list[bool]) -> TwoColoring:
     """The coloring whose edges, in host.edges() order, have these colors."""
-    return TwoColoring(host, frozenset(e for e, red in zip(host.edges(), colors) if red))
+    rows_red, _ = _class_rows(host, colors, host.order)
+    return TwoColoring(host, Graph(host.order, tuple(rows_red)))
 
 
 def exists_free_coloring(
@@ -466,7 +484,7 @@ def exists_free_coloring(
 
 
 def _color_swap(coloring: TwoColoring) -> TwoColoring:
-    return TwoColoring(coloring.host, coloring.blue_edges())
+    return TwoColoring(coloring.host, coloring.blue_graph())
 
 
 def _seed_coloring(red_t: TargetPattern, blue_t: TargetPattern) -> TwoColoring | None:
@@ -528,10 +546,6 @@ def ramsey_number(
     start = lo
     seed = _seed_coloring(red_t, blue_t)
     if seed is not None and seed.host.order >= lo - 1:
-        if seed.host.order >= hi:
-            raise RangeError(
-                f"every order in [{lo}, {hi}] admits a free coloring"
-            )
         witness = seed
         start = seed.host.order + 1
     try:
@@ -625,20 +639,10 @@ def _max_free_extension(
     Returns the edge choices (base vertex, is_red) of one maximizing
     extension."""
     m = base_host.order
-    n = m + 1
-    rows_red = [0] * n
-    rows_blue = [0] * n
-    for (u, v), red in zip(base_host.edges(), colors):
-        rows = rows_red if red else rows_blue
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
+    rows_red, rows_blue = _class_rows(base_host, colors, m + 1)
     # a pattern with isolated vertices can embed through the fresh vertex
-    # before any star edge is colored; containment is monotone, so the base
-    # then admits no free extension at all
-    if (
-        _contains_rows(rows_red, n, red_t) is not None
-        or _contains_rows(rows_blue, n, blue_t) is not None
-    ):
+    # before any star edge is colored
+    if _blocked(rows_red, rows_blue, red_t, blue_t):
         return -1, ()
     best_k = -1
     best_choices: tuple[tuple[int, bool], ...] = ()
@@ -662,15 +666,12 @@ def _extension_witness(
     perm = [0] * m
     for new, old in enumerate(attach + rest):
         perm[old] = new
-    red = set()
-    for u, v in base.red:
-        a, b = perm[u], perm[v]
-        red.add((min(a, b), max(a, b)))
+    rows = [*relabel(base.red, perm).rows, 0]
     for j, is_red in choices:
         if is_red:
-            red.add((perm[j], m))
-    host = star_augmented(m, len(attach))
-    return TwoColoring(host, frozenset(red))
+            rows[perm[j]] |= 1 << m
+            rows[m] |= 1 << perm[j]
+    return TwoColoring(star_augmented(m, len(attach)), Graph(m + 1, tuple(rows)))
 
 
 @dataclass

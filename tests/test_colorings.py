@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
+import fanram
 from fanram.colorings import (
     Certificate,
     TwoColoring,
     burr_coloring,
     check_free,
-    coloring_from_graphs,
     lemma27_construction,
     load_certificate,
     serialize_certificate,
@@ -31,45 +32,61 @@ from fanram.graphs import (
 )
 from fanram.patterns import Clique, Fan, copies_pattern, parse_target
 
-from conftest import cycle_graph
+from conftest import cycle_graph, random_graph
 
 
 def test_two_coloring_validation():
     host = complete(3)
-    c = TwoColoring(host, frozenset({(0, 1)}))
-    assert c.blue_edges() == frozenset({(0, 2), (1, 2)})
-    with pytest.raises(BadParam):
-        TwoColoring(host, frozenset({(1, 0)}))  # not normalized
-    with pytest.raises(BadParam):
-        TwoColoring(from_edges(3, [(0, 1)]), frozenset({(0, 2)}))  # not a host edge
+    c = TwoColoring(host, from_edges(3, [(0, 1)]))
+    assert c.blue_graph().edges() == [(0, 2), (1, 2)]
+    with pytest.raises(BadParam, match="^red graph order differs from host order$"):
+        TwoColoring(host, empty_graph(4))
+    with pytest.raises(BadParam, match=r"^red edge \(0, 2\) not in the host$"):
+        TwoColoring(from_edges(3, [(0, 1)]), from_edges(3, [(0, 2)]))
 
 
 def test_coloring_graph_views():
     host = complete(4)
-    c = TwoColoring(host, frozenset({(0, 1), (2, 3)}))
-    assert c.red_graph().edges() == [(0, 1), (2, 3)]
-    assert c.blue_graph() == complement(c.red_graph())
-    assert coloring_from_graphs(host, c.red_graph()) == c
-    # the views are built once; on a sparse host blue is host minus red
-    assert c.red_graph() is c.red_graph() and c.blue_graph() is c.blue_graph()
-    c = TwoColoring(cycle_graph(5), frozenset({(0, 1), (0, 4)}))
+    red = from_edges(4, [(0, 1), (2, 3)])
+    c = TwoColoring(host, red)
+    # the red graph is stored as given; blue is built once, as host minus red
+    assert c.red is red and c.red_graph() is red
+    assert c.blue_graph() == complement(red)
+    assert c.blue_graph() is c.blue_graph()
+    # colorings compare as labelled graphs
+    assert TwoColoring(host, from_edges(4, [(2, 3), (0, 1)])) == c
+    assert TwoColoring(host, from_edges(4, [(0, 2), (1, 3)])) != c
+    c = TwoColoring(cycle_graph(5), from_edges(5, [(0, 1), (0, 4)]))
     assert c.blue_graph().edges() == [(1, 2), (2, 3), (3, 4)]
-    assert c.blue_edges() == frozenset(c.blue_graph().edges())
 
 
 def test_two_coloring_rejects_the_first_bad_red_edge():
-    # the edge named is the first, in the set's iteration order, that is not
-    # normalized or not in the host
+    # the edge named is the lowest (u, v), in row order, that is red but not
+    # a host edge
     host = from_edges(6, [(0, 1), (1, 2), (2, 3)])
-    for red in ({(0, 1), (3, 4), (2, 1)}, {(2, 1), (4, 5)}, {(1, 2), (0, 5)}):
-        red = frozenset(red)
-        first = next(
-            (u, v) for u, v in red if u >= v or not host.has_edge(u, v)
-        )
-        why = "not normalized" if first[0] >= first[1] else "not in the host"
+    for red, first in (
+        ([(0, 1), (3, 4), (2, 1)], (3, 4)),
+        ([(4, 5), (2, 1), (0, 5)], (0, 5)),
+        ([(1, 2), (0, 3), (2, 0)], (0, 2)),
+    ):
+        with pytest.raises(BadParam) as exc:
+            TwoColoring(host, from_edges(6, red))
+        assert str(exc.value) == f"red edge {first} not in the host"
+    rng = random.Random(14)
+    for _ in range(200):
+        host, red = random_graph(rng, 9, 0.6), random_graph(rng, 9, 0.3)
+        outside = [e for e in red.edges() if not host.has_edge(*e)]
+        if not outside:
+            assert TwoColoring(host, red).blue_graph().size() == host.size() - red.size()
+            continue
         with pytest.raises(BadParam) as exc:
             TwoColoring(host, red)
-        assert str(exc.value) == f"red edge {first} {why}"
+        assert str(exc.value) == f"red edge {min(outside)} not in the host"
+
+
+def test_every_public_name_is_exported():
+    for name in fanram.__all__:
+        assert hasattr(fanram, name), name
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +198,23 @@ def test_lemma27_order_formula_grid():
                 assert check_free(c, f"M:{s}", f"F:{t},{n}").valid, (s, t, n)
 
 
+def test_lemma27_red_graph_is_labelled_as_documented():
+    # n >= s: red joins the first tn vertices to the last s-1; n < s: the
+    # first (t-1)n vertices have no red edge and the last 2s-1 form a red
+    # clique. Cases n > s, n = s, n < s and s = 1 (no red edge at all).
+    for s, t, n in ((2, 3, 4), (3, 2, 3), (4, 3, 2), (5, 1, 2), (1, 2, 3), (1, 1, 1)):
+        if n >= s:
+            order = t * n + s - 1
+            red = [(u, v) for u in range(t * n) for v in range(t * n, order)]
+        else:
+            lo = (t - 1) * n
+            order = lo + 2 * s - 1
+            red = [(u, v) for u in range(lo, order) for v in range(u + 1, order)]
+        c = lemma27_construction(s, t, n)
+        assert c.host == complete(order), (s, t, n)
+        assert c.red_graph().edges() == red, (s, t, n)
+
+
 def test_lemma27_boundary_uses_bipartite_case():
     # n = s falls into the crossing-edges construction
     c = lemma27_construction(2, 2, 2)
@@ -213,7 +247,7 @@ def test_verify_lemma24_preconditions():
     with pytest.raises(PreconditionViolated):
         verify_lemma24(c, 5)  # host order mismatch
     # free for the wrong pair: all-blue K_32 contains a blue fan
-    all_blue = TwoColoring(complete(32), frozenset())
+    all_blue = TwoColoring(complete(32), empty_graph(32))
     with pytest.raises(PreconditionViolated):
         verify_lemma24(all_blue, 4)
 
@@ -286,7 +320,7 @@ def test_load_certificate_bad_coloring_is_corruption():
 
 
 def test_certificate_embeds_witness_when_not_free():
-    cert = check_free(TwoColoring(complete(3), frozenset({(0, 1), (0, 2), (1, 2)})), "K3", "K3")
+    cert = check_free(TwoColoring(complete(3), complete(3)), "K3", "K3")
     assert not cert.valid
     assert cert.red_witness is not None and cert.blue_witness is None
     text = serialize_certificate(cert)
@@ -294,13 +328,17 @@ def test_certificate_embeds_witness_when_not_free():
     assert again.red_witness == cert.red_witness
 
 
+def _without_edge(g, u, v):
+    return from_edges(g.order, [e for e in g.edges() if e != (u, v)])
+
+
 def test_check_free_just_below_a_fan_is_fast():
     # free colorings one edge away from a fan: every center's blue
     # neighborhood has too few disjoint edges, which the fan check of F:2,n
     # learns from a matching bound instead of trying every partial packing
     c = thm17_construction(3, 1, 2, 8)
-    assert (0, 16) in c.red
-    near = TwoColoring(c.host, c.red - {(0, 16)})
+    assert c.red.has_edge(0, 16)
+    near = TwoColoring(c.host, _without_edge(c.red, 0, 16))
     assert check_free(near, "K3", "F:2,8").valid
     c = lemma27_construction(30, 2, 10)
     assert c.host.order == 69
@@ -308,6 +346,6 @@ def test_check_free_just_below_a_fan_is_fast():
     # for F:3,n the blue neighborhood of vertex 0 is K_14 plus vertex 15,
     # which has no neighbor in it: peeling 15 leaves 14 < 15 vertices
     c = thm17_construction(3, 1, 3, 5)
-    assert (0, 15) in c.red
-    near = TwoColoring(c.host, c.red - {(0, 15)})
+    assert c.red.has_edge(0, 15)
+    near = TwoColoring(c.host, _without_edge(c.red, 0, 15))
     assert check_free(near, "K3", "F:3,5").valid
