@@ -68,7 +68,9 @@ class TwoColoring:
 @dataclass
 class Certificate:
     """Verdicts of one freeness check, with a content hash over the canonical
-    serialization so re-runs are comparable byte for byte."""
+    serialization so re-runs are comparable byte for byte. The serialization
+    without the hash (certificate_payload) is built once, on construction,
+    and kept as `payload`."""
 
     coloring: TwoColoring
     red_target: TargetPattern
@@ -76,6 +78,10 @@ class Certificate:
     red_witness: EmbeddingWitness | None
     blue_witness: EmbeddingWitness | None
     content_hash: str
+    payload: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.payload = certificate_payload(self)
 
     @property
     def valid(self) -> bool:
@@ -111,9 +117,7 @@ def _hash_payload(payload: dict) -> str:
 def certificate_obj(cert: Certificate) -> dict:
     """The payload followed by its content hash: a certificate as stored and
     reported."""
-    doc = certificate_payload(cert)
-    doc["content_hash"] = cert.content_hash
-    return doc
+    return {**cert.payload, "content_hash": cert.content_hash}
 
 
 def serialize_certificate(cert: Certificate) -> str:
@@ -157,7 +161,7 @@ def check_free(
     if bw is not None:
         assert witness_valid(coloring.blue_graph(), blue_t, bw)
     cert = Certificate(coloring, red_t, blue_t, rw, bw, "")
-    cert.content_hash = _hash_payload(certificate_payload(cert))
+    cert.content_hash = _hash_payload(cert.payload)
     return cert
 
 

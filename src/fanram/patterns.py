@@ -12,9 +12,10 @@ vertices are left to choose, since with fewer the expansion finds out as
 soon, and with one left every candidate completes a clique. The first
 clique (_clique_search), the clique and independence numbers, and the
 cliques of every packing all come from it.
-Matchings: Edmonds' blossom algorithm. Everything else is a packing:
-_packings yields k disjoint embeddings of a connected pattern with copies
-ordered by ascending first vertex (a clique's lowest vertex, a fan's
+Matchings: Edmonds' blossom algorithm, except that up to three disjoint
+edges are found without it (_matching_at_least). Everything else is a
+packing: _packings yields k disjoint embeddings of a connected pattern with
+copies ordered by ascending first vertex (a clique's lowest vertex, a fan's
 center, an explicit pattern's image of vertex 0), so no family is found
 twice in another order. A fan F:t,n is a center plus a packing of n t-cliques
 in its neighborhood; disjoint copies are a packing of the inner pattern,
@@ -417,17 +418,46 @@ def _packings(rows, avail: int, embed, pat, size: int, k: int, low: int = 0):
             yield [emb] + rest
 
 
+def _two_disjoint_edges(rows, avail: int) -> bool:
+    """Whether the subgraph induced by avail has two disjoint edges. Take
+    its first edge ab: an edge avoiding a and b settles yes; otherwise every
+    edge meets a or b, and two disjoint ones are ac and bd with c != d."""
+    for a in bits(avail):
+        na = rows[a] & avail
+        if na:
+            break
+    else:
+        return False
+    b = (na & -na).bit_length() - 1
+    ab = 1 << a | 1 << b
+    rest = avail & ~ab
+    for w in bits(rest):
+        if rows[w] & rest:
+            return True
+    na &= ~ab
+    nb = rows[b] & rest
+    return bool(na and nb) and (na | nb).bit_count() >= 2
+
+
 def _matching_at_least(rows, avail: int, k: int) -> bool:
-    """Whether the subgraph induced by avail has k disjoint edges. Fewer
-    than 2k non-isolated vertices settle no, the greedy start of _blossom
-    settles most yes answers, and augmenting paths run only when the two
-    disagree. One edge needs only a vertex with a neighbor in avail."""
+    """Whether the subgraph induced by avail has k disjoint edges; k <= 3
+    runs no blossom. One edge needs only a vertex with a neighbor in avail.
+    Edges that pairwise meet form a star or a triangle (_two_disjoint_edges
+    tells them from two disjoint ones), and a maximum matching that misses
+    a non-isolated vertex x has an edge at every neighbor w of x, which can
+    be traded for xw, so three exist exactly when two exist in avail - {x, w}
+    for some neighbor w of a least-degree x. From three on, fewer than 2k
+    non-isolated vertices settle no; from four on, the greedy start of
+    _blossom settles most yes answers, and augmenting paths run only when
+    the greedy matching and the vertex count disagree."""
     if k <= 0:
         return True
     if k == 1:
         return any(rows[w] & avail for w in bits(avail))
     if avail.bit_count() < 2 * k:
         return False
+    if k == 2:
+        return _two_disjoint_edges(rows, avail)
     sub = [0] * len(rows)
     touched = 0
     for w in bits(avail):
@@ -437,6 +467,11 @@ def _matching_at_least(rows, avail: int, k: int) -> bool:
             touched |= 1 << w
     if touched.bit_count() < 2 * k:
         return False
+    if k == 3:
+        x = min(bits(touched), key=lambda w: sub[w].bit_count())
+        return any(
+            _two_disjoint_edges(rows, touched & ~(1 << x | 1 << w)) for w in bits(sub[x])
+        )
     return _blossom(sub, len(rows), k)[1] >= k
 
 

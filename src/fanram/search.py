@@ -145,7 +145,8 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
 
     Assumes the class without that edge was target-free, so any embedding
     now maps a pattern edge to uv and detection is anchored there. Cliques
-    need K_{m-2} in the common neighborhood; F:t,1 is the clique K_{t+1}.
+    need K_{m-2} in the common neighborhood (for K3 a common neighbor, for
+    K4 an edge among the common neighbors); F:t,1 is the clique K_{t+1}.
     Fans need a center in {u, v} or the common neighborhood (_fans_through).
     For t = 2 the blades are a matching, and every center is anchored at
     its blade through a common neighbor w: a center u can only gain a fan
@@ -153,16 +154,27 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
     edges in N(u) - {v, w} (v the same, with u and v swapped); a center w
     can only gain one in which uv is a blade, so it needs n-1 disjoint
     edges in N(w) - {u, v}. For F:2,2 each is a one-edge scan.
-    M:s needs s-1 disjoint edges avoiding u and v. Copies of a clique or fan
-    need one copy through uv and count-1 more outside it. Explicit patterns
-    and their copies fall back to a full check, which is equally sound.
+    M:s needs s-1 disjoint edges avoiding u and v. Up to three disjoint
+    edges are found without blossom (_matching_at_least), so M:s with
+    s <= 4 and F:2,n with n <= 4 run none here: edges that pairwise meet
+    form a star or a triangle, and some maximum matching covers any given
+    non-isolated vertex x (swap in xw for the edge at a neighbor w), so
+    three disjoint edges are two avoiding x and one of its neighbors.
+    Copies of a clique or fan need one copy through uv and count-1 more
+    outside it. Explicit patterns and their copies fall back to a full
+    check, which is equally sound.
     """
     target = _clique_form(target)
     if isinstance(target, Clique):
         m = target.size
         if m <= 2:
             return True
-        return _clique_search(rows, rows[u] & rows[v], m - 2) is not None
+        common = rows[u] & rows[v]
+        if m == 3:
+            return common != 0
+        if m == 4:
+            return any(rows[w] & common for w in bits(common))
+        return _clique_search(rows, common, m - 2) is not None
     if isinstance(target, Fan):
         if target.t == 2:
             # F:2,n centered at c is n disjoint edges in N(c); uv joins one

@@ -10,6 +10,7 @@ from fanram.colorings import (
     Certificate,
     TwoColoring,
     burr_coloring,
+    certificate_obj,
     check_free,
     lemma27_construction,
     load_certificate,
@@ -282,6 +283,24 @@ def test_certificate_round_trip_and_hash():
     assert serialize_certificate(again) == text
     # hash is stable across repeated construction
     assert check_free(c, "M:2", "F:2,1").content_hash == cert.content_hash
+
+
+def test_certificate_encodes_its_graphs_once(monkeypatch):
+    # the payload is built once, hashed by check_free and reused for the
+    # report, so host and red are graph6-encoded one time each
+    calls = []
+    monkeypatch.setattr("fanram.colorings.encode", lambda g: calls.append(g) or encode(g))
+    c = lemma27_construction(2, 2, 1)
+    cert = check_free(c, "M:2", "F:2,1")
+    doc = certificate_obj(cert)
+    assert calls == [c.host, c.red]
+    assert doc == {**cert.payload, "content_hash": cert.content_hash}
+    assert list(doc) == [
+        "format", "host", "red", "red_target", "blue_target", "red_witness",
+        "blue_witness", "content_hash",
+    ]
+    assert doc["host"] == encode(c.host) and doc["red"] == encode(c.red)
+    assert "content_hash" not in cert.payload
 
 
 def test_certificate_hash_tracks_content():

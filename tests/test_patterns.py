@@ -250,15 +250,43 @@ def test_matching_at_least_zero_edges_is_always_true():
         assert _matching_at_least(g.rows, full, 0)
 
 
+def _check_matching_at_least(g, avail: int) -> None:
+    nu = oracle_max_matching(induced(g, [v for v in range(g.order) if avail >> v & 1]))
+    for k in range(7):
+        assert _matching_at_least(g.rows, avail, k) == (nu >= k), (k, avail, g.edges())
+
+
 def test_matching_at_least_against_oracle():
+    # k = 2 is a closed form, k = 3 one branch into it, k >= 4 blossom;
+    # sparse graphs keep the answers near those thresholds
     rng = random.Random(23)
-    for trial in range(200):
-        order = rng.randrange(1, 11)
-        g = random_graph(rng, order, rng.uniform(0.1, 0.7))
-        avail = rng.getrandbits(order)
-        nu = oracle_max_matching(induced(g, [v for v in range(order) if avail >> v & 1]))
-        for k in range(5):
-            assert _matching_at_least(g.rows, avail, k) == (nu >= k), (trial, k, g.edges())
+    for _ in range(400):
+        order = rng.randrange(1, 15)
+        g = random_graph(rng, order, rng.choice([0.05, 0.15, 0.3, 0.5, 0.7]))
+        _check_matching_at_least(g, rng.getrandbits(order))
+        _check_matching_at_least(g, (1 << order) - 1)
+
+
+def test_matching_at_least_on_small_shapes():
+    # the edges of a star or a triangle pairwise meet; one more edge (a
+    # pendant, K4's opposite edge, P4's last edge or 2K2) makes two disjoint
+    shapes = [
+        complete_multipartite([1, 5]),
+        complete(3),
+        from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+        complete(4),
+        path_graph(4),
+        graph_copies(2, complete(2)),
+    ]
+    for g in shapes:
+        for avail in range(1 << g.order):
+            _check_matching_at_least(g, avail)
+        # the same shape inside a larger host, at other labels
+        rng = random.Random(g.order)
+        for _ in range(20):
+            labels = rng.sample(range(14), g.order)
+            host = from_edges(14, [tuple(sorted((labels[a], labels[b]))) for a, b in g.edges()])
+            _check_matching_at_least(host, (1 << 14) - 1)
 
 
 def test_matching_witness_edges_are_disjoint():

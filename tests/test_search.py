@@ -201,7 +201,7 @@ P3 = "G6:" + encode(from_edges(3, [(0, 1), (1, 2)]))
     [
         "K4", "K5", "F:1,3", "F:2,2", "F:2,3", "F:2,4", "F:3,1", "F:3,2", "M:3", "2xK3",
         "2xF:2,1", "3xF:2,1", "2xF:1,3", "2xF:2,2", "2xF:3,1", "2xF:3,2", C4, "2x" + P3,
-        "F:2,5", "F:4,2", "2xK4",
+        "F:2,5", "F:4,2", "2xK4", "K3", "M:2", "M:4", "M:5",
     ],
 )
 def test_anchored_containment_matches_full_check(target):
@@ -233,15 +233,14 @@ def test_anchored_containment_matches_full_check(target):
     assert 0 < hits < checked
 
 
-def test_fan22_centers_need_no_blossom(monkeypatch):
-    # an F:2,n center u gains its fan through spoke uv, so a common neighbor
-    # w is v's blade partner and n-1 more edges lie in N(u) - {v, w}; for
-    # F:2,2 that is a one-edge scan, and the DFS runs no blossom at all
-    depth = blossoms = 0
+def _count_anchored_blossoms(monkeypatch) -> list[int]:
+    """Patch _blossom and _new_containment so that the returned one-item
+    list counts the _blossom calls made inside the anchored check."""
+    depth = 0
+    blossoms = [0]
 
     def counted_blossom(*args, **kwargs):
-        nonlocal blossoms
-        blossoms += depth > 0
+        blossoms[0] += depth > 0
         return _blossom(*args, **kwargs)
 
     def tracked(*args):
@@ -254,12 +253,38 @@ def test_fan22_centers_need_no_blossom(monkeypatch):
 
     monkeypatch.setattr("fanram.patterns._blossom", counted_blossom)
     monkeypatch.setattr("fanram.search._new_containment", tracked)
+    return blossoms
+
+
+def test_fan22_centers_need_no_blossom(monkeypatch):
+    # an F:2,n center u gains its fan through spoke uv, so a common neighbor
+    # w is v's blade partner and n-1 more edges lie in N(u) - {v, w}; for
+    # F:2,2 that is a one-edge scan, and the DFS runs no blossom at all
+    blossoms = _count_anchored_blossoms(monkeypatch)
     res = ramsey_number("K4", "F:2,2", 13, 13, SearchConfig(node_budget=14000))
     assert res.status == "budget_exhausted"
-    assert blossoms == 0
+    assert blossoms == [0]
     assert res.stats == SearchStats(
         nodes=14001, red_prunes=2061, blue_prunes=2770, degree_prunes=1982, iso_prunes=315
     )
+
+
+def test_small_matchings_need_no_blossom(monkeypatch):
+    # M:s needs s-1 disjoint edges avoiding u and v, and F:2,n centers n-1
+    # in a neighborhood; up to three disjoint edges are found without
+    # blossom, so M:s with s <= 4 and F:2,n with n <= 4 run none in the DFS
+    blossoms = _count_anchored_blossoms(monkeypatch)
+    res = ramsey_number("K3", "M:4", 1, 12)
+    assert (res.value, res.status) == (9, "exact")
+    assert res.stats == SearchStats(
+        nodes=3654, red_prunes=544, blue_prunes=905, degree_prunes=2, iso_prunes=726
+    )
+    star = star_critical("M:3", "F:2,2", 8)
+    assert star.value == 6
+    assert star.stats == SearchStats(
+        nodes=7073, red_prunes=1656, blue_prunes=1072, degree_prunes=2, iso_prunes=1611
+    )
+    assert blossoms == [0]
 
 
 def _free_colorings(order: int, red, blue, iso: bool) -> list[tuple[bool, ...]]:

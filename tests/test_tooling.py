@@ -46,6 +46,23 @@ def test_tracer_installs_and_uninstalls_on_fanram(capsys):
     assert modules["graphs"].Graph.__post_init__ is graph_init
 
 
+def test_tracer_counts_anchored_matching_checks(capsys):
+    # matching targets are checked through search._new_containment like
+    # every other kind, so the tracer's matching rollup sees them
+    modules = {name: importlib.import_module(f"fanram.{name}") for name in MODULES}
+    tracer = _load_tracing().Tracer(modules)
+    tracer.install()
+    try:
+        code = modules["cli"].main(
+            ["ramsey", "--red", "K3", "--blue", "M:3", "--lo", "1", "--hi", "8"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 7
+    finally:
+        tracer.uninstall()
+    assert tracer.snapshot()["patterns.anchored.matching.calls"] > 0
+
+
 def test_tracer_counts_cache_records_parsed(tmp_path, capsys):
     # cache.records_parsed counts calls of cache.record_from_obj made
     # through its module global; a local binding would leave it at zero
