@@ -1,7 +1,15 @@
 """Lower-bound machinery: exact chromatic invariants, the multipartite
 lower-bound formula, goodness, the star lower bound, and a registry of
 closed-form values with explicit validity conditions. Registry entries are
-Ramsey numbers r unless their condition names the star-critical r_*."""
+Ramsey numbers r unless their condition names the star-critical r_*.
+
+One enumerator backs every chromatic invariant: _partitions(g, k) yields
+each partition of the vertices into exactly k independent classes once,
+placing next the vertex with the fewest classes open to it. The chromatic
+number is the least k from the clique number up that has such a partition.
+The surplus and tau come from one pass over the partitions into chi classes
+(_surplus_tau), and each bound computes chi once and enumerates at most
+once."""
 
 from __future__ import annotations
 
@@ -10,142 +18,121 @@ from typing import Iterator, Mapping
 
 from .errors import BadParam, MissingParam, OrderCap, PreconditionViolated, UnknownFormula
 from .graphs import Graph, bits, is_connected
+from .patterns import clique_number
 
 ENUM_ORDER_CAP = 12
 CHI_ORDER_CAP = 40
 
 
-def _greedy_clique(g: Graph) -> int:
-    """Greedy clique lower bound: extend ascending from each vertex."""
-    best = 0
-    full = (1 << g.order) - 1
-    for v in range(g.order):
-        cur = [v]
-        cand = g.rows[v] & full
-        while cand:
-            u = (cand & -cand).bit_length() - 1
-            cur.append(u)
-            cand &= g.rows[u]
-        best = max(best, len(cur))
-    return best
+def _partitions(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
+    """Every partition of the vertices into exactly k independent classes,
+    each once, as vertex masks in the order the classes were opened.
 
+    The next vertex placed is an unplaced one with the fewest classes open
+    to it (no neighbor inside), the lowest on ties. It joins each open class
+    in turn, then opens a new class while fewer than k exist. The choice
+    depends only on the classes built so far, so distinct branches build
+    distinct partitions. A branch is cut when its classes plus its unplaced
+    vertices number fewer than k.
+    """
+    rows = g.rows
+    classes: list[int] = []
+    nbrs: list[int] = []  # nbrs[i]: the vertices with a neighbor in classes[i]
 
-def _dsatur_upper(g: Graph) -> int:
-    """Greedy coloring with max-saturation vertex selection; returns colors used."""
-    n = g.order
-    if n == 0:
-        return 0
-    color = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if color[u] == -1),
-            key=lambda u: (len(neighbor_colors[u]), g.rows[u].bit_count(), -u),
-        )
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        color[v] = c
-        for u in bits(g.rows[v]):
-            if color[u] == -1:
-                neighbor_colors[u].add(c)
-    return max(color) + 1
+    def rec(left: int) -> Iterator[tuple[int, ...]]:
+        if len(classes) + left.bit_count() < k:
+            return
+        if not left:
+            yield tuple(classes)
+            return
+        # count the classes closed to each unplaced vertex, one bit plane
+        # per binary digit, then keep the vertices with the highest count
+        planes: list[int] = []
+        for nb in nbrs:
+            carry, j = nb & left, 0
+            while carry:
+                if j == len(planes):
+                    planes.append(carry)
+                    break
+                planes[j], carry = planes[j] ^ carry, planes[j] & carry
+                j += 1
+        most = left
+        for plane in reversed(planes):
+            if most & plane:
+                most &= plane
+        bit = most & -most
+        row = rows[bit.bit_length() - 1]
+        for i, nb in enumerate(nbrs):
+            if not nb & bit:
+                classes[i] |= bit
+                nbrs[i] = nb | row
+                yield from rec(left ^ bit)
+                classes[i] ^= bit
+                nbrs[i] = nb
+        if len(classes) < k:
+            classes.append(bit)
+            nbrs.append(row)
+            yield from rec(left ^ bit)
+            classes.pop()
+            nbrs.pop()
 
-
-def _colorable(g: Graph, k: int) -> bool:
-    """Exact k-colorability by backtracking; new colors introduced in order."""
-    n = g.order
-    color = [-1] * n
-
-    def select() -> int | None:
-        best_v, best_key = None, None
-        for v in range(n):
-            if color[v] != -1:
-                continue
-            seen = {color[u] for u in bits(g.rows[v]) if color[u] != -1}
-            key = (-len(seen), -g.rows[v].bit_count(), v)
-            if best_key is None or key < best_key:
-                best_v, best_key = v, key
-        return best_v
-
-    def rec(used: int) -> bool:
-        v = select()
-        if v is None:
-            return True
-        banned = {color[u] for u in bits(g.rows[v]) if color[u] != -1}
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if c in banned:
-                continue
-            color[v] = c
-            if rec(max(used, c + 1)):
-                return True
-            color[v] = -1
-        return False
-
-    return rec(0)
+    yield from rec((1 << g.order) - 1)
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number for graphs of order at most 40."""
+    """Exact chromatic number for graphs of order at most 40: the least k
+    from the clique number up with a partition into k independent classes."""
     if g.order > CHI_ORDER_CAP:
         raise OrderCap(f"chromatic number capped at order {CHI_ORDER_CAP}")
-    if g.order == 0:
-        return 0
-    if g.size() == 0:
-        return 1
-    lo = max(2, _greedy_clique(g))
-    hi = _dsatur_upper(g)
-    for k in range(lo, hi):
-        if _colorable(g, k):
-            return k
-    return hi
+    k = clique_number(g)
+    while next(_partitions(g, k), None) is None:
+        k += 1
+    return k
 
 
-def _optimal_partitions(g: Graph, chi: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of the vertices into exactly chi independent classes.
+def _surplus_tau(g: Graph, chi: int | None, with_tau: bool) -> tuple[int, int]:
+    """Surplus of g and, when with_tau, tau from one pass over the partitions
+    into chi classes; chi is g's chromatic number, or None to compute it once
+    the order cap holds. Without with_tau the second value is meaningless.
 
-    Classes are identified by first-use order, so each unordered partition is
-    produced exactly once.
+    Every optimal coloring has tau >= 1: a surplus-class vertex with no
+    neighbor in another class could move there, which empties or shrinks a
+    smallest class. So the pass stops at surplus 1 and, with tau, tau 1.
     """
-    n = g.order
-    classes: list[int] = []
-
-    def rec(v: int) -> Iterator[tuple[int, ...]]:
-        if v == n:
-            if len(classes) == chi:
-                yield tuple(classes)
-            return
-        if len(classes) + (n - v) < chi:
-            return
-        row = g.rows[v]
-        for i, cm in enumerate(classes):
-            if not cm & row:
-                classes[i] = cm | 1 << v
-                yield from rec(v + 1)
-                classes[i] = cm
-        if len(classes) < chi:
-            classes.append(1 << v)
-            yield from rec(v + 1)
-            classes.pop()
-
-    yield from rec(0)
+    if g.order > ENUM_ORDER_CAP:
+        raise OrderCap(f"surplus enumeration capped at order {ENUM_ORDER_CAP}")
+    if chi is None:
+        chi = chromatic_number(g)
+    if with_tau and chi < 2:
+        raise BadParam("tau needs at least two color classes")
+    if g.order == 0:
+        raise BadParam("surplus of the empty graph is undefined")
+    s = t = g.order
+    for part in _partitions(g, chi):
+        m = min(cm.bit_count() for cm in part)
+        if m < s:
+            s, t = m, g.order
+        if with_tau and m == s:
+            t = min(
+                t,
+                min(
+                    (g.rows[v] & other).bit_count()
+                    for u1 in part
+                    if u1.bit_count() == s
+                    for v in bits(u1)
+                    for other in part
+                    if other != u1
+                ),
+            )
+        if s == 1 and (t == 1 or not with_tau):
+            break
+    return s, t
 
 
 def chromatic_surplus(g: Graph) -> int:
     """Smallest color-class size over all proper colorings with exactly
     chromatic-number many colors. Enumeration-backed; order capped at 12."""
-    if g.order > ENUM_ORDER_CAP:
-        raise OrderCap(f"surplus enumeration capped at order {ENUM_ORDER_CAP}")
-    if g.order == 0:
-        raise BadParam("surplus of the empty graph is undefined")
-    chi = chromatic_number(g)
-    best = g.order
-    for part in _optimal_partitions(g, chi):
-        best = min(best, min(cm.bit_count() for cm in part))
-        if best == 1:
-            break
-    return best
+    return _surplus_tau(g, None, False)[0]
 
 
 def tau(g: Graph) -> int:
@@ -157,24 +144,7 @@ def tau(g: Graph) -> int:
     """
     if g.order > ENUM_ORDER_CAP:
         raise OrderCap(f"tau enumeration capped at order {ENUM_ORDER_CAP}")
-    chi = chromatic_number(g)
-    if chi < 2:
-        raise BadParam("tau needs at least two color classes")
-    s = chromatic_surplus(g)
-    best: int | None = None
-    for part in _optimal_partitions(g, chi):
-        for u1 in part:
-            if u1.bit_count() != s:
-                continue
-            for v in bits(u1):
-                for other in part:
-                    if other == u1:
-                        continue
-                    d = (g.rows[v] & other).bit_count()
-                    if best is None or d < best:
-                        best = d
-    assert best is not None
-    return best
+    return _surplus_tau(g, None, True)[1]
 
 
 @dataclass(frozen=True)
@@ -190,10 +160,12 @@ class GraphParams:
 def graph_params(g: Graph) -> GraphParams:
     if g.order == 0:
         raise BadParam("parameters of the empty graph are undefined")
+    chi = chromatic_number(g)
+    s, t = _surplus_tau(g, chi, True)
     return GraphParams(
-        chi=chromatic_number(g),
-        surplus=chromatic_surplus(g),
-        tau=tau(g),
+        chi=chi,
+        surplus=s,
+        tau=t,
         min_degree=min(r.bit_count() for r in g.rows),
     )
 
@@ -218,7 +190,7 @@ def burr_bound(g: Graph, h: Graph) -> BoundReport:
     """(chi(g)-1)(order(h)-1) + surplus(g): the multipartite lower bound for
     the Ramsey number of g versus a connected h."""
     chi = chromatic_number(g)
-    s = chromatic_surplus(g)
+    s = _surplus_tau(g, chi, False)[0]
     n = h.order
     if n < s:
         raise PreconditionViolated("order(h) below the surplus of g")
@@ -253,11 +225,10 @@ def star_lower_bound(g: Graph, h: Graph, good_asserted: bool = True) -> BoundRep
     chi = chromatic_number(g)
     if chi < 2:
         raise PreconditionViolated("g must have chromatic number at least 2")
-    s = chromatic_surplus(g)
+    s, t = _surplus_tau(g, chi, True)
     n = h.order
     if n < s:
         raise PreconditionViolated("order(h) below the surplus of g")
-    t = tau(g)
     delta = min(r.bit_count() for r in h.rows)
     conn = is_connected(h) and h.order >= 1
     return BoundReport(

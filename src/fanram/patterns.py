@@ -247,11 +247,18 @@ def _clique_search(rows, avail: int, m: int) -> tuple[int, ...] | None:
 
 
 def _clique_number_rows(rows, n: int) -> int:
-    """Clique number: ascend _clique_search until a size has no clique."""
+    """Clique number: ascend _clique_search until a size has no clique,
+    growing each clique found greedily to a maximal one first."""
     full = (1 << n) - 1
     m = 0
-    while _clique_search(rows, full, m + 1) is not None:
-        m += 1
+    while (found := _clique_search(rows, full, m + 1)) is not None:
+        common = full
+        for v in found:
+            common &= rows[v]
+        m = len(found)
+        while common:
+            common &= rows[(common & -common).bit_length() - 1]
+            m += 1
     return m
 
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterator
 
 from .colorings import TwoColoring, check_free, lemma27_construction, thm17_construction
@@ -202,8 +203,14 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
 def _clique_form(p: TargetPattern) -> TargetPattern:
     """K_{t+1} for the fan F:t,1, which is that clique; p otherwise."""
     if isinstance(p, Fan) and p.n == 1:
-        return Clique(p.t + 1)
+        return _clique(p.t + 1)
     return p
+
+
+@cache
+def _clique(m: int) -> Clique:
+    """Clique(m), built once per size: _clique_form runs at every DFS node."""
+    return Clique(m)
 
 
 def _iso_allows(rows_red, split: int, u: int, v: int) -> bool:

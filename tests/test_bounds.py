@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from fanram import bounds
 from fanram.bounds import (
+    _partitions,
     burr_bound,
     chromatic_number,
     chromatic_surplus,
@@ -21,6 +25,7 @@ from fanram.errors import (
     UnknownFormula,
 )
 from fanram.graphs import (
+    bits,
     complete,
     complete_multipartite,
     copies,
@@ -33,9 +38,11 @@ from conftest import (
     corpus,
     cycle_graph,
     oracle_chromatic,
+    oracle_optimal_partitions,
     oracle_surplus,
     oracle_tau,
     path_graph,
+    random_graph,
 )
 
 
@@ -63,6 +70,76 @@ def test_chromatic_number_examples():
 def test_chromatic_number_against_oracle():
     for name, g, chi in _oracle_corpus():
         assert chromatic_number(g) == chi, name
+
+
+def test_partitions_against_oracle():
+    # each partition into exactly k independent classes, once, for k = chi
+    # (the optimal colorings) and k = chi + 1
+    for name, g, chi in _oracle_corpus():
+        for k in (chi, chi + 1):
+            if k ** g.order > 300_000:
+                continue
+            got = [frozenset(frozenset(bits(cm)) for cm in part) for part in _partitions(g, k)]
+            assert len(got) == len(set(got)), (name, k)
+            assert set(got) == oracle_optimal_partitions(g, k), (name, k)
+
+
+def _mycielski(g):
+    """Mycielski's graph of g: a twin u_i of each vertex v_i, adjacent to
+    v_i's neighbors, and one vertex adjacent to every twin."""
+    n = g.order
+    edges = list(g.edges())
+    for a, b in g.edges():
+        edges += [(a, n + b), (b, n + a)]
+    return from_edges(2 * n + 1, edges + [(n + i, 2 * n) for i in range(n)])
+
+
+def _wheel(rim):
+    spokes = [(i, rim) for i in range(rim)]
+    return from_edges(rim + 1, [(i, (i + 1) % rim) for i in range(rim)] + spokes)
+
+
+_GROTZSCH = _mycielski(cycle_graph(5))
+
+
+@pytest.mark.parametrize(
+    "g, chi",
+    [
+        (_GROTZSCH, 4),
+        (_mycielski(_GROTZSCH), 5),
+        (_wheel(21), 4),
+        (cycle_graph(39), 3),
+        (complete_multipartite([8] * 5), 5),
+        (generalized_fan(4, 9), 5),
+        (copies(2, generalized_fan(3, 6)), 4),
+        (complete(40), 40),
+        (random_graph(random.Random(0), 40, 0.5), 8),
+        (random_graph(random.Random(3), 40, 0.5), 9),
+    ],
+    ids=["grotzsch", "M5", "W21", "C39", "K8x5", "F:4,9", "2xF:3,6", "K40", "G40a", "G40b"],
+)
+def test_chromatic_number_hard_graphs(g, chi):
+    # the clique number is chi - 1 or less for all but K_{8,8,8,8,8}, F:4,9,
+    # 2xF:3,6 and K40, so those need every partition into fewer classes refuted
+    assert chromatic_number(g) == chi
+
+
+def test_bounds_compute_chi_once(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return chromatic_number(g)
+
+    monkeypatch.setattr(bounds, "chromatic_number", counted)
+    for run in (
+        lambda: star_lower_bound(complete(3), generalized_fan(4, 5)),
+        lambda: graph_params(cycle_graph(5)),
+        lambda: burr_bound(complete_multipartite([2, 3]), generalized_fan(2, 3)),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
 
 
 def test_fan_parameters_cross_module():
