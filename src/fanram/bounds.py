@@ -9,7 +9,7 @@ placing next the vertex with the fewest classes open to it. The chromatic
 number is the least k from the clique number up that has such a partition.
 The surplus and tau come from one pass over the partitions into chi classes
 (_surplus_tau), and each bound computes chi once and enumerates at most
-once."""
+once, after its order caps."""
 
 from __future__ import annotations
 
@@ -79,30 +79,30 @@ def _partitions(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     yield from rec((1 << g.order) - 1)
 
 
+def _cap(g: Graph, cap: int, what: str) -> None:
+    if g.order > cap:
+        raise OrderCap(f"{what} capped at order {cap}")
+
+
 def chromatic_number(g: Graph) -> int:
     """Exact chromatic number for graphs of order at most 40: the least k
     from the clique number up with a partition into k independent classes."""
-    if g.order > CHI_ORDER_CAP:
-        raise OrderCap(f"chromatic number capped at order {CHI_ORDER_CAP}")
+    _cap(g, CHI_ORDER_CAP, "chromatic number")
     k = clique_number(g)
     while next(_partitions(g, k), None) is None:
         k += 1
     return k
 
 
-def _surplus_tau(g: Graph, chi: int | None, with_tau: bool) -> tuple[int, int]:
+def _surplus_tau(g: Graph, chi: int, with_tau: bool) -> tuple[int, int]:
     """Surplus of g and, when with_tau, tau from one pass over the partitions
-    into chi classes; chi is g's chromatic number, or None to compute it once
-    the order cap holds. Without with_tau the second value is meaningless.
+    into chi classes, chi being g's chromatic number; the caller has applied
+    the enumeration cap. Without with_tau the second value is meaningless.
 
     Every optimal coloring has tau >= 1: a surplus-class vertex with no
     neighbor in another class could move there, which empties or shrinks a
     smallest class. So the pass stops at surplus 1 and, with tau, tau 1.
     """
-    if g.order > ENUM_ORDER_CAP:
-        raise OrderCap(f"surplus enumeration capped at order {ENUM_ORDER_CAP}")
-    if chi is None:
-        chi = chromatic_number(g)
     if with_tau and chi < 2:
         raise BadParam("tau needs at least two color classes")
     if g.order == 0:
@@ -132,7 +132,8 @@ def _surplus_tau(g: Graph, chi: int | None, with_tau: bool) -> tuple[int, int]:
 def chromatic_surplus(g: Graph) -> int:
     """Smallest color-class size over all proper colorings with exactly
     chromatic-number many colors. Enumeration-backed; order capped at 12."""
-    return _surplus_tau(g, None, False)[0]
+    _cap(g, ENUM_ORDER_CAP, "surplus enumeration")
+    return _surplus_tau(g, chromatic_number(g), False)[0]
 
 
 def tau(g: Graph) -> int:
@@ -142,9 +143,8 @@ def tau(g: Graph) -> int:
     Every choice of optimal coloring, minimum-size class, vertex, and other
     class is considered, which yields the weakest usable value.
     """
-    if g.order > ENUM_ORDER_CAP:
-        raise OrderCap(f"tau enumeration capped at order {ENUM_ORDER_CAP}")
-    return _surplus_tau(g, None, True)[1]
+    _cap(g, ENUM_ORDER_CAP, "tau enumeration")
+    return _surplus_tau(g, chromatic_number(g), True)[1]
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,8 @@ class GraphParams:
 def graph_params(g: Graph) -> GraphParams:
     if g.order == 0:
         raise BadParam("parameters of the empty graph are undefined")
+    _cap(g, CHI_ORDER_CAP, "chromatic number")
+    _cap(g, ENUM_ORDER_CAP, "surplus enumeration")
     chi = chromatic_number(g)
     s, t = _surplus_tau(g, chi, True)
     return GraphParams(
@@ -189,6 +191,8 @@ class BoundReport:
 def burr_bound(g: Graph, h: Graph) -> BoundReport:
     """(chi(g)-1)(order(h)-1) + surplus(g): the multipartite lower bound for
     the Ramsey number of g versus a connected h."""
+    _cap(g, CHI_ORDER_CAP, "chromatic number")
+    _cap(g, ENUM_ORDER_CAP, "surplus enumeration")
     chi = chromatic_number(g)
     s = _surplus_tau(g, chi, False)[0]
     n = h.order
@@ -222,9 +226,11 @@ def star_lower_bound(g: Graph, h: Graph, good_asserted: bool = True) -> BoundRep
 
     Valid when h is g-good; goodness is caller-asserted and recorded as such.
     """
-    chi = chromatic_number(g)
-    if chi < 2:
+    _cap(g, CHI_ORDER_CAP, "chromatic number")
+    if not any(g.rows):  # chi < 2 exactly when g has no edge
         raise PreconditionViolated("g must have chromatic number at least 2")
+    _cap(g, ENUM_ORDER_CAP, "surplus enumeration")
+    chi = chromatic_number(g)
     s, t = _surplus_tau(g, chi, True)
     n = h.order
     if n < s:

@@ -12,7 +12,9 @@ import json
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .errors import BadParam, CorruptRecord, OrderCap, PreconditionViolated, StructureNotFound
+from .errors import (
+    BadParam, CorruptRecord, FanramError, OrderCap, PreconditionViolated, StructureNotFound
+)
 from .graph6 import decode, encode
 from .graphs import (
     MAX_ORDER,
@@ -150,16 +152,19 @@ def check_free(
     """Run both containment oracles and package the verdicts.
 
     The coloring is free exactly when the red graph avoids the red target and
-    the blue graph avoids the blue target.
+    the blue graph avoids the blue target. Every witness found is
+    re-validated against its graph; one that fails raises FanramError.
     """
     red_t = parse_target(red_target) if isinstance(red_target, str) else red_target
     blue_t = parse_target(blue_target) if isinstance(blue_target, str) else blue_target
     rw = patterns.contains_target(coloring.red_graph(), red_t)
     bw = patterns.contains_target(coloring.blue_graph(), blue_t)
-    if rw is not None:
-        assert witness_valid(coloring.red_graph(), red_t, rw)
-    if bw is not None:
-        assert witness_valid(coloring.blue_graph(), blue_t, bw)
+    for color, graph, target, w in (
+        ("red", coloring.red_graph(), red_t, rw),
+        ("blue", coloring.blue_graph(), blue_t, bw),
+    ):
+        if w is not None and not witness_valid(graph, target, w):
+            raise FanramError(f"{color} witness {witness_obj(w)} fails re-validation")
     cert = Certificate(coloring, red_t, blue_t, rw, bw, "")
     cert.content_hash = _hash_payload(cert.payload)
     return cert

@@ -5,6 +5,11 @@ fan, a matching, disjoint copies of a connected pattern, or an explicit graph.
 All oracles are exact and deterministic: candidate vertices are always tried
 in ascending index order, so the first witness found is reproducible.
 
+Each kind's shape is stated once: pattern_graph, and _group_sizes, which
+splits a flat embedding (images of pattern_graph's vertices in label order)
+into a witness's groups; witness_valid checks every kind by one rule, and
+_clique_form alone reads F:t,1 as the clique K_{t+1}.
+
 Three kernels check every kind. Cliques: one branch-and-bound, the
 explicit-stack enumerator _cliques_iter, which lists cliques in
 lexicographic order; its greedy coloring bound runs only while three or more
@@ -18,21 +23,22 @@ packing: _packings yields k disjoint embeddings of a connected pattern with
 copies ordered by ascending first vertex (a clique's lowest vertex, a fan's
 center, an explicit pattern's image of vertex 0), so no family is found
 twice in another order. A fan F:t,n is a center plus a packing of n t-cliques
-in its neighborhood; disjoint copies are a packing of the inner pattern,
-searched one connected component at a time. The blades of F:2,n are a
-matching, so a center whose neighborhood has matching number below n is
-skipped before its packings are tried (_matching_at_least). For t >= 3,
-neighbors with fewer than t-1 neighbors left in the neighborhood are
-peeled off first, and a center with fewer than tn left is skipped.
+in its neighborhood, and one packer finds the blades (_blades): for t >= 3,
+neighbors with fewer than t-1 neighbors left in the neighborhood are peeled
+off first; a center with fewer than tn left is skipped; and the blades of
+F:2,n are a matching, so a center whose neighborhood has matching number
+below n is skipped too, all before its packings are tried. Disjoint copies
+are a packing of the inner pattern, searched one connected component at a
+time; copies of F:t,1 are packed as cliques.
 
 The coloring search also uses anchored kernels: _fans_through yields the fan
-embeddings that map a pattern edge to a given host edge, and _copies_through
-looks for disjoint copies one of which does. F:2,n needs no packing there:
-when edge uv is added, every new fan has a blade through a common neighbor w
-of u and v. A center u (or v) has uv as a spoke and {v, w} (or {u, w}) as a
-blade, and w as a center has uv as a blade; either way n-1 disjoint edges
-must remain in the center's neighborhood without those two vertices
-(search._new_containment).
+embeddings that map a pattern edge to a given host edge, its other blades
+packed by _blades, and _copies_through looks for disjoint copies one of
+which does. F:2,n needs no packing there: when edge uv is added, every new
+fan has a blade through a common neighbor w of u and v. A center u (or v)
+has uv as a spoke and {v, w} (or {u, w}) as a blade, and w as a center has
+uv as a blade; either way n-1 disjoint edges must remain in the center's
+neighborhood without those two vertices (search._new_containment).
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cache, lru_cache
+from itertools import islice
 from typing import Iterator, Union
 
 from .errors import BadParam, ParseError
@@ -129,8 +137,10 @@ def pattern_order(p: TargetPattern) -> int:
     return p.graph.order
 
 
+@lru_cache(maxsize=256)
 def pattern_graph(p: TargetPattern) -> Graph:
-    """The labeled graph a pattern stands for (hub-first for fans)."""
+    """The labeled graph a pattern stands for (hub-first for fans); graphs
+    are immutable, so one built graph serves every caller."""
     if isinstance(p, Clique):
         return complete(p.size)
     if isinstance(p, Fan):
@@ -140,6 +150,19 @@ def pattern_graph(p: TargetPattern) -> Graph:
     if isinstance(p, Copies):
         return graph_copies(p.count, pattern_graph(p.inner))
     return p.graph
+
+
+def _clique_form(p: TargetPattern) -> TargetPattern:
+    """K_{t+1} for the fan F:t,1, which is that clique; p otherwise."""
+    if isinstance(p, Fan) and p.n == 1:
+        return _clique(p.t + 1)
+    return p
+
+
+@cache
+def _clique(m: int) -> Clique:
+    """Clique(m), built once per size: _clique_form runs at every DFS node."""
+    return Clique(m)
 
 
 def parse_target(text: str) -> TargetPattern:
@@ -217,6 +240,19 @@ class EmbeddingWitness:
 
     def vertices(self) -> tuple[int, ...]:
         return tuple(v for grp in self.groups for v in grp)
+
+
+def _group_sizes(p: TargetPattern) -> tuple[int, ...]:
+    """Sizes of the groups a normalized pattern's witness has, in order."""
+    if isinstance(p, Clique):
+        return (p.size,)
+    if isinstance(p, Matching):
+        return (2,) * p.size
+    if isinstance(p, Fan):
+        return (1,) + (p.t,) * p.n
+    if isinstance(p, Copies):
+        return (pattern_order(p.inner),) * p.count
+    return (p.graph.order,)
 
 
 # ---------------------------------------------------------------------------
@@ -300,28 +336,31 @@ def _cliques_iter(rows, avail: int, t: int, min_v: int) -> Iterator[tuple[int, .
             cur.pop()
 
 
+def _blades(rows, around: int, t: int, n: int) -> Iterator[list[tuple[int, ...]]]:
+    """Every packing of n t-cliques within around, the neighborhood of a fan
+    center, in _packings order. Vertices with fewer than t-1 neighbors left
+    in around are in no blade and are peeled off first; fewer than tn left,
+    or for F:2,n a matching number below n, then settle that there is none."""
+    if n == 0:
+        yield []
+        return
+    while t >= 3 and around.bit_count() >= t * n:
+        peel = sum(1 << w for w in bits(around) if (rows[w] & around).bit_count() < t - 1)
+        if not peel:
+            break
+        around ^= peel
+    if around.bit_count() < t * n or t == 2 and n > 1 and not _matching_at_least(
+        rows, around, n
+    ):
+        return
+    yield from _packings(rows, around, _cliques_iter, t, t, n)
+
+
 def _fans_iter(rows, avail: int, fan: Fan, low: int) -> Iterator[tuple[int, ...]]:
     """All fan embeddings within avail with center >= low, as the center
-    followed by the blades' vertices; the blades are a packing of the
-    center's neighborhood. A neighbor with fewer than t-1 neighbors left
-    in the neighborhood is in no blade, so such neighbors are peeled off
-    first, which leaves every packing and its order alone, and a center
-    with fewer than tn neighbors left is skipped. The blades of F:2,n are a
-    matching, so such a center is also skipped when its neighborhood has
-    fewer than n disjoint edges."""
-    t, n = fan.t, fan.n
+    followed by the blades' vertices (_blades of its neighborhood)."""
     for c in bits(avail >> low << low):
-        around = avail & rows[c]
-        while t >= 3 and around.bit_count() >= t * n:
-            peel = sum(1 << w for w in bits(around) if (rows[w] & around).bit_count() < t - 1)
-            if not peel:
-                break
-            around ^= peel
-        if around.bit_count() < t * n or t == 2 and n > 1 and not _matching_at_least(
-            rows, around, n
-        ):
-            continue
-        for blades in _packings(rows, around, _cliques_iter, t, t, n):
+        for blades in _blades(rows, avail & rows[c], fan.t, fan.n):
             yield (c,) + tuple(v for cl in blades for v in cl)
 
 
@@ -330,8 +369,8 @@ def _fans_through(rows, fan: Fan, u: int, v: int) -> Iterator[tuple[int, ...]]:
     as in _fans_iter. Either the center is u (or v) and the blade through v
     (or u) is that vertex plus a K_{t-1} in the common neighborhood, or the
     center is a common neighbor c and one blade is u, v plus a K_{t-2} in
-    the common neighborhood of all three; n-1 more blades follow."""
-    t, n = fan.t, fan.n
+    the common neighborhood of all three; n-1 more blades follow (_blades)."""
+    t = fan.t
     common = rows[u] & rows[v]
     starts = [(c, (x,), common) for c, x in ((u, v), (v, u))]
     if t >= 2:
@@ -339,14 +378,15 @@ def _fans_through(rows, fan: Fan, u: int, v: int) -> Iterator[tuple[int, ...]]:
     for c, ends, within in starts:
         for rest in _cliques_iter(rows, within, t - len(ends), 0):
             blade = ends + rest
-            avail = rows[c] & ~mask_of(blade)
-            for blades in _packings(rows, avail, _cliques_iter, t, t, n - 1):
+            for blades in _blades(rows, rows[c] & ~mask_of(blade), t, fan.n - 1):
                 yield (c,) + blade + tuple(w for cl in blades for w in cl)
 
 
 def _copies_kernel(inner: TargetPattern):
     """The embed generator and its pat parameter (see _packings) for copies
-    of a connected clique, fan or explicit pattern."""
+    of a connected clique, fan or explicit pattern; copies of F:t,1 are
+    packed as the cliques they are."""
+    inner = _clique_form(inner)
     if isinstance(inner, Clique):
         return _cliques_iter, inner.size
     if isinstance(inner, Fan):
@@ -634,11 +674,11 @@ def contains_copies(g: Graph, count: int, inner: TargetPattern) -> EmbeddingWitn
     return contains_target(g, Copies(count, inner))
 
 
-def _copies_rows(rows, n: int, target: Copies) -> EmbeddingWitness | None:
+def _copies_rows(rows, n: int, target: Copies) -> tuple[int, ...] | None:
     p = pattern_order(target.inner)
     embed, pat = _copies_kernel(target.inner)
     remaining = target.count
-    groups: list[tuple[int, ...]] = []
+    flat: list[int] = []
     for comp in components_rows(rows, n):
         if remaining == 0:
             break
@@ -646,16 +686,16 @@ def _copies_rows(rows, n: int, target: Copies) -> EmbeddingWitness | None:
         while k >= 1:
             found = next(_packings(rows, comp, embed, pat, p, k), None)
             if found is not None:
-                groups.extend(found)
+                flat.extend(v for emb in found for v in emb)
                 remaining -= k
                 break
             k -= 1
-    if remaining:
-        return None
-    return EmbeddingWitness(target.count * p, tuple(groups))
+    return None if remaining else tuple(flat)
 
 
 def _contains_rows(rows, n: int, target: TargetPattern) -> EmbeddingWitness | None:
+    """First embedding from the kernel of the target's kind, flat, split into
+    the witness's groups by _group_sizes."""
     if isinstance(target, Copies):
         inner = normalize_pattern(target.inner)
         if isinstance(inner, (Matching, Copies)) or isinstance(inner, Explicit) and (
@@ -665,28 +705,20 @@ def _contains_rows(rows, n: int, target: TargetPattern) -> EmbeddingWitness | No
     t = normalize_pattern(target)
     full = (1 << n) - 1
     if isinstance(t, Clique):
-        hit = _clique_search(rows, full, t.size)
-        return None if hit is None else EmbeddingWitness(t.size, (hit,))
-    if isinstance(t, Matching):
+        flat = _clique_search(rows, full, t.size)
+    elif isinstance(t, Matching):
         pairs = _max_matching_rows(rows, n)
-        if len(pairs) < t.size:
-            return None
-        return EmbeddingWitness(2 * t.size, tuple(pairs[: t.size]))
-    if isinstance(t, Fan):
-        for emb in _fans_iter(rows, full, t, 0):
-            blades = tuple(emb[i:i + t.t] for i in range(1, len(emb), t.t))
-            return EmbeddingWitness(len(emb), ((emb[0],),) + blades)
+        flat = None if len(pairs) < t.size else tuple(v for e in pairs[: t.size] for v in e)
+    elif isinstance(t, Fan):
+        flat = next(_fans_iter(rows, full, t, 0), None)
+    elif isinstance(t, Copies):
+        flat = _copies_rows(rows, n, t)
+    else:
+        flat = None if t.graph.order > n else next(_embed_iter(rows, full, t.graph, 0), None)
+    if flat is None:
         return None
-    if isinstance(t, Copies):
-        return _copies_rows(rows, n, t)
-    pat = t.graph
-    if pat.order == 0:
-        return EmbeddingWitness(0, ((),))
-    if pat.order > n:
-        return None
-    for mp in _embed_iter(rows, full, pat, 0):
-        return EmbeddingWitness(pat.order, (mp,))
-    return None
+    it = iter(flat)
+    return EmbeddingWitness(len(flat), tuple(tuple(islice(it, k)) for k in _group_sizes(t)))
 
 
 def contains_target(g: Graph, target: TargetPattern) -> EmbeddingWitness | None:
@@ -696,50 +728,14 @@ def contains_target(g: Graph, target: TargetPattern) -> EmbeddingWitness | None:
 
 
 def witness_valid(g: Graph, target: TargetPattern, w: EmbeddingWitness) -> bool:
-    """Re-validate a witness against the host: injectivity, range, and every
-    pattern edge mapped to a host edge."""
+    """Re-validate a witness against the host by one rule for every kind:
+    distinct vertices of the host, groups of the sizes the pattern's kind
+    gives them, and every edge of pattern_graph mapped to a host edge, the
+    vertices read in label order."""
     t = normalize_pattern(target)
     verts = w.vertices()
-    if len(set(verts)) != len(verts):
+    if len(set(verts)) != len(verts) or any(not 0 <= v < g.order for v in verts):
         return False
-    if any(not 0 <= v < g.order for v in verts):
+    if w.pattern_order != len(verts) or tuple(map(len, w.groups)) != _group_sizes(t):
         return False
-    if w.pattern_order != len(verts) or len(verts) != pattern_order(t):
-        return False
-    if isinstance(t, Clique):
-        if len(w.groups) != 1 or len(w.groups[0]) != t.size:
-            return False
-        grp = w.groups[0]
-        return all(g.has_edge(a, b) for i, a in enumerate(grp) for b in grp[i + 1:])
-    if isinstance(t, Matching):
-        if len(w.groups) != t.size or any(len(grp) != 2 for grp in w.groups):
-            return False
-        return all(g.has_edge(a, b) for a, b in w.groups)
-    if isinstance(t, Fan):
-        if len(w.groups) != t.n + 1 or len(w.groups[0]) != 1:
-            return False
-        c = w.groups[0][0]
-        for blade in w.groups[1:]:
-            if len(blade) != t.t:
-                return False
-            if not all(g.has_edge(c, v) for v in blade):
-                return False
-            if not all(
-                g.has_edge(a, b) for i, a in enumerate(blade) for b in blade[i + 1:]
-            ):
-                return False
-        return True
-    if isinstance(t, Copies):
-        ig = pattern_graph(t.inner)
-        if len(w.groups) != t.count or any(len(grp) != ig.order for grp in w.groups):
-            return False
-        return all(
-            g.has_edge(grp[a], grp[b])
-            for grp in w.groups
-            for a, b in ig.edges()
-        )
-    pat = t.graph
-    if len(w.groups) != 1 or len(w.groups[0]) != pat.order:
-        return False
-    grp = w.groups[0]
-    return all(g.has_edge(grp[a], grp[b]) for a, b in pat.edges())
+    return all(g.has_edge(verts[a], verts[b]) for a, b in pattern_graph(t).edges())

@@ -16,16 +16,18 @@ uncolored, and cuts a branch that cannot attach more edges than the best
 found so far. The search is sequential and deterministic.
 
 Degree windows. Cliques and fans are cones: K_m = K1 + K_{m-1} for m >= 2 and
-F:t,n = K1 + nK_t for t >= 2. If a vertex of a free coloring of K_N had red
-degree r(R', B) or more, where R' is the red target R without its cone
-vertex, its red neighborhood would hold a red R' (with the vertex, a red R)
-or a blue B. So every vertex has red degree at most r(R', B) - 1, and blue
-degree at most r(R, B') - 1 with B' defined the same way. On a complete host
-red + blue + uncolored = N - 1 at every vertex, so the floor each cap puts on
-the other color's final degree is the cap itself: the DFS cuts a branch as
-soon as an endpoint of the edge just colored goes over its cap, and returns
-at the root when the two caps sum to less than N - 1. Matchings, copies and
-explicit targets are not cones here and get no cap on their side.
+F:t,n = K1 + nK_t for t >= 2; F:t,1 is read as the clique K_{t+1}
+(patterns._clique_form), so F:1,1 gets the cap of K2. If a vertex of a
+free coloring of K_N had red degree r(R', B) or more, where R' is the red
+target R without its cone vertex, its red neighborhood would hold a red R'
+(with the vertex, a red R) or a blue B. So every vertex has red degree at
+most r(R', B) - 1, and blue degree at most r(R, B') - 1 with B' defined the
+same way. On a complete host red + blue + uncolored = N - 1 at every vertex,
+so the floor each cap puts on the other color's final degree is the cap
+itself: the DFS cuts a branch as soon as an endpoint of the edge just
+colored goes over its cap, and returns at the root when the two caps sum to
+less than N - 1. Matchings, copies and explicit targets are not cones here
+and get no cap on their side.
 
 Each cap comes from this module: r(K1, H) = 1, r(K2, H) = |V(H)| when H has
 no isolated vertex, and otherwise a scan of the smaller pair by the same
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Iterator
 
 from .colorings import TwoColoring, check_free, lemma27_construction, thm17_construction
@@ -72,6 +73,7 @@ from .patterns import (
     Fan,
     Matching,
     TargetPattern,
+    _clique_form,
     _clique_search,
     _contains_rows,
     _copies_through,
@@ -200,19 +202,6 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
     return _contains_rows(rows, n, target) is not None
 
 
-def _clique_form(p: TargetPattern) -> TargetPattern:
-    """K_{t+1} for the fan F:t,1, which is that clique; p otherwise."""
-    if isinstance(p, Fan) and p.n == 1:
-        return _clique(p.t + 1)
-    return p
-
-
-@cache
-def _clique(m: int) -> Clique:
-    """Clique(m), built once per size: _clique_form runs at every DFS node."""
-    return Clique(m)
-
-
 def _iso_allows(rows_red, split: int, u: int, v: int) -> bool:
     """Whether slot (u, v), v >= u + 2, of a complete host may be red.
     Vertices v - 1 and v form a block when they have the same color to every
@@ -241,12 +230,12 @@ def _is_complete(host: Graph) -> bool:
 
 def _cone_base(p: TargetPattern) -> TargetPattern | None:
     """H with p = K1 + H, for the cones the degree windows use: K_{m-1} for
-    K_m (m >= 2) and nK_t for F:t,n (t >= 2). None for other targets."""
+    K_m (m >= 2), F:t,1 read as K_{t+1}, and nK_t for F:t,n (t >= 2, n >= 2).
+    None for other targets."""
+    p = _clique_form(p)
     if isinstance(p, Clique) and p.size >= 2:
         return Clique(p.size - 1)
     if isinstance(p, Fan) and p.t >= 2:
-        if p.n == 1:
-            return Clique(p.t)
         if p.t == 2:
             return Matching(p.n)
         return Copies(p.n, Clique(p.t))

@@ -142,6 +142,28 @@ def test_bounds_compute_chi_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_bounds_raise_the_surplus_cap_before_computing_chi(monkeypatch):
+    # the surplus of an order-20 graph is never enumerated, whatever its chi
+    calls = []
+    monkeypatch.setattr(bounds, "chromatic_number", lambda g: calls.append(g) or 0)
+    g = random_graph(random.Random(0), 20, 0.5)
+    for run in (
+        lambda: burr_bound(g, complete(3)),
+        lambda: graph_params(g),
+        lambda: star_lower_bound(g, complete(3)),
+    ):
+        with pytest.raises(OrderCap, match="surplus enumeration capped at order 12"):
+            run()
+    assert calls == []
+    # the chi cap still comes first, and an edgeless g still fails the
+    # star bound's precondition at any order up to it
+    with pytest.raises(OrderCap, match="chromatic number capped at order 40"):
+        burr_bound(empty_graph(41), complete(3))
+    with pytest.raises(PreconditionViolated):
+        star_lower_bound(empty_graph(20), complete(3))
+    assert calls == []
+
+
 def test_fan_parameters_cross_module():
     for t in (2, 3, 4):
         for n in (1, 2, 3, 4, 5):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,14 @@ from fanram.colorings import (
     verify_lemma24,
 )
 from fanram.graph6 import encode
-from fanram.errors import BadParam, CorruptRecord, OrderCap, PreconditionViolated, StructureNotFound
+from fanram.errors import (
+    BadParam,
+    CorruptRecord,
+    FanramError,
+    OrderCap,
+    PreconditionViolated,
+    StructureNotFound,
+)
 from fanram.graphs import (
     complement,
     complete,
@@ -31,7 +42,7 @@ from fanram.graphs import (
     induced,
     is_connected,
 )
-from fanram.patterns import Clique, Fan, copies_pattern, parse_target
+from fanram.patterns import Clique, EmbeddingWitness, Fan, copies_pattern, parse_target
 
 from conftest import cycle_graph, random_graph
 
@@ -272,6 +283,37 @@ def test_check_free_valid_and_invalid():
     bad = check_free(c, "K3", "F:2,1")  # blue K_16 blocks contain triangles
     assert not bad.valid
     assert bad.blue_witness is not None
+
+
+def test_check_free_rejects_a_malformed_witness(monkeypatch):
+    # a red "triangle" through the non-edge 0-2 of the path 0-1-2
+    bogus = EmbeddingWitness(3, ((0, 1, 2),))
+    monkeypatch.setattr("fanram.patterns.contains_target", lambda g, t: bogus)
+    coloring = TwoColoring(complete(3), from_edges(3, [(0, 1), (1, 2)]))
+    with pytest.raises(FanramError, match="red witness .* fails re-validation"):
+        check_free(coloring, "K3", "K3")
+
+
+def test_check_free_rejects_a_malformed_witness_under_optimization():
+    # python -O strips assert statements; the re-validation must still run
+    script = """
+import fanram.patterns as patterns
+from fanram.colorings import TwoColoring, check_free
+from fanram.errors import FanramError
+from fanram.graphs import complete, from_edges
+patterns.contains_target = lambda g, t: patterns.EmbeddingWitness(3, ((0, 1, 2),))
+try:
+    check_free(TwoColoring(complete(3), from_edges(3, [(0, 1), (1, 2)])), "K3", "K3")
+except FanramError as exc:
+    raise SystemExit(f"rejected: {exc}")
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 1
+    assert "rejected: red witness" in proc.stderr
 
 
 def test_certificate_round_trip_and_hash():

@@ -28,6 +28,8 @@ from fanram.patterns import (
     Matching,
     _clique_search,
     _cliques_iter,
+    _fans_iter,
+    _fans_through,
     _matching_at_least,
     clique_number,
     contains_clique,
@@ -437,6 +439,48 @@ def test_witness_valid_rejects_garbage():
     assert not witness_valid(g, Clique(3), EmbeddingWitness(3, ((0, 1, 9),)))
     assert not witness_valid(cycle_graph(4), Clique(3), EmbeddingWitness(3, ((0, 1, 2),)))
     assert not witness_valid(g, Matching(2), EmbeddingWitness(4, ((0, 1), (1, 2))))
+    # one wrong shape per kind, each with every pattern edge on a host edge
+    k6 = complete(6)
+    assert witness_valid(k6, Fan(2, 1), EmbeddingWitness(3, ((0,), (1, 2))))
+    assert not witness_valid(k6, Fan(2, 1), EmbeddingWitness(3, ((0, 1), (2,))))
+    two_k3 = copies_pattern(2, Clique(3))
+    assert witness_valid(k6, two_k3, EmbeddingWitness(6, ((0, 1, 2), (3, 4, 5))))
+    assert not witness_valid(k6, two_k3, EmbeddingWitness(6, ((0, 1, 2, 3), (4, 5))))
+    assert not witness_valid(k6, Matching(2), EmbeddingWitness(4, ((0, 1, 2), (3,))))
+    p3 = Explicit(path_graph(3))
+    assert witness_valid(path_graph(4), p3, EmbeddingWitness(3, ((0, 1, 2),)))
+    assert not witness_valid(path_graph(4), p3, EmbeddingWitness(3, ((0, 2, 1),)))
+    assert not witness_valid(g, Clique(3), EmbeddingWitness(4, ((0, 1, 2),)))
+
+
+def _fan_key(emb: tuple[int, ...], t: int):
+    return emb[0], frozenset(frozenset(emb[i:i + t]) for i in range(1, len(emb), t))
+
+
+def test_fans_through_yields_the_fans_that_use_the_edge():
+    # _fans_through against its definition: the fans of _fans_iter that map
+    # a pattern edge to uv, i.e. uv is a spoke or lies inside a blade
+    rng = random.Random(17)
+    hits = 0
+    for _ in range(40):
+        g = random_graph(rng, rng.randrange(3, 10), rng.uniform(0.4, 0.95))
+        if not g.edges():
+            continue
+        u, v = rng.choice(g.edges())
+        full = (1 << g.order) - 1
+        for t in range(1, 5):
+            for n in range(1, 4):
+                fan = Fan(t, n)
+                through = [_fan_key(emb, t) for emb in _fans_through(g.rows, fan, u, v)]
+                assert len(set(through)) == len(through), (fan, u, v)
+                want = set()
+                for emb in _fans_iter(g.rows, full, fan, 0):
+                    c, blades = _fan_key(emb, t)
+                    if any(c in (u, v) and {u, v} - {c} <= b or {u, v} <= b for b in blades):
+                        want.add((c, blades))
+                assert set(through) == want, (fan, u, v, g.edges())
+                hits += bool(want)
+    assert hits > 100
 
 
 def test_specialized_agrees_with_oracle():

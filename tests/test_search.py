@@ -422,6 +422,7 @@ def _all_free(order: int, red, blue, windowed: bool) -> set:
         ("K4", "F:2,1", 9),
         ("M:2", "F:2,2", 6),
         ("K3", "2xF:2,1", 8),
+        ("F:1,1", "F:2,2", 5),
     ],
 )
 def test_degree_windows_match_plain_search(red, blue, value):
