@@ -3,10 +3,11 @@
 A cache hit is advisory only. Lookups skip records written by another tool
 version; anything unreadable is skipped with a warning so a damaged file
 degrades to a miss, never to a wrong answer. The command line replays only
-search records, after checking the report's header and re-validating its
-witness certificate. A check-free report is stored only when the newest
-record of its key differs, and is never replayed: re-validating one would
-cost the check itself.
+search records: it re-validates the witness certificate, rebuilds the
+report from the record's value and that certificate, and requires the
+stored report to equal it field by field. A check-free report is stored
+only when the newest record of its key differs, and is never replayed:
+re-validating one would cost the check itself.
 
 Records are stored compactly with their key fields first, so a lookup
 skips, unparsed, every line that starts like a compact record of another
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import CorruptRecord
 
@@ -38,16 +39,7 @@ class ResultRecord:
     timestamp: float = field(default_factory=time.time)
 
 
-_FIELDS = (
-    "kind",
-    "red_target",
-    "blue_target",
-    "params",
-    "value",
-    "artifact",
-    "tool_version",
-    "timestamp",
-)
+_FIELDS = tuple(f.name for f in fields(ResultRecord))
 
 
 def record_to_obj(rec: ResultRecord) -> dict:

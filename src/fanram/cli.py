@@ -3,7 +3,9 @@
 Every run prints one JSON report with fixed field order on standard output.
 Exit codes: 0 found/true/valid, 1 absent/false/invalid, 2 usage or runtime
 error. Reports contain nothing run-dependent (no timestamps), so identical
-inputs produce identical bytes.
+inputs produce identical bytes. Each command lays out its report in one
+place; a cached ramsey or star report is replayed only as _search_report
+rebuilds it from the record's value and re-validated witness.
 """
 
 from __future__ import annotations
@@ -95,16 +97,19 @@ def _backs(kind: str, cert: Certificate, value, params: dict) -> bool:
     )
 
 
-_SEARCH_BODY = ["value", "status", "witness", "stats", "caps"]
+def _fields(doc: dict) -> list:
+    # types too: 8.0 == 8 in Python, but the two print differently
+    return [(key, type(value), value) for key, value in doc.items()]
 
 
 def _replay(path: str, kind: str, red: str, blue: str, params: dict) -> dict | None:
-    """Newest matching search record that this command may print as stored.
-    Its witness must re-validate through load_certificate and back the
-    record (see _backs); its report must have the fields this command
-    prints, in order, with the same header (format, command, targets and
-    params) and status "exact". Anything else warns and counts as a miss.
-    Stats and caps are replayed as stored."""
+    """The report to print for the newest matching search record, or None.
+    _search_report rebuilds it from the record's value, the certificate of
+    its witness as load_certificate re-validates it, its stored stats and
+    caps, and status "exact". The stored report must have the rebuilt one's
+    fields, in order, with the same JSON types and values; its witness must
+    name this command's targets and back the value (see _backs). Anything
+    else warns and counts as a miss. Stats and caps are replayed as stored."""
     rec = cache_lookup(path, kind, red, blue, params)
     if rec is None:
         return None
@@ -114,20 +119,16 @@ def _replay(path: str, kind: str, red: str, blue: str, params: dict) -> dict | N
     except CorruptRecord as exc:
         warn(f"cached record failed re-validation, recomputing: {exc}")
         return None
-    header = _report(kind, red=red, blue=blue, **params)
-    value = stored.get("value")
+    doc = _search_report(kind, red, blue, params, rec.value, "exact", certificate_obj(cert),
+                         stored.get("stats"), stored.get("caps"))
     if (
-        list(stored) != [*header, *_SEARCH_BODY]
-        or any(type(stored[name]) is not type(field) or stored[name] != field
-               for name, field in header.items())
-        or stored["status"] != "exact"
+        _fields(stored) != _fields(doc)
         or (format_target(cert.red_target), format_target(cert.blue_target)) != (red, blue)
-        or rec.value != value
-        or not _backs(kind, cert, value, params)
+        or not _backs(kind, cert, rec.value, params)
     ):
         warn(f"cached {kind} record is not backed by its certificate, recomputing")
         return None
-    return stored
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -135,33 +136,30 @@ def _replay(path: str, kind: str, red: str, blue: str, params: dict) -> dict | N
 # ---------------------------------------------------------------------------
 
 
+# each family: its parameters in constructor order, its constructor, and
+# its default (red, blue) targets from those parameters; a family without
+# defaults certifies only when given both targets
+_FAMILIES = {
+    "thm17": (("m", "s", "t", "n"), thm17_construction, lambda m, s, t, n: (
+        f"K{m}", format_target(patterns.copies_pattern(s, patterns.Fan(t, n))))),
+    "lemma27": (("s", "t", "n"), lemma27_construction,
+                lambda s, t, n: (f"M:{s}", f"F:{t},{n}")),
+    "burr": (("chi", "surplus", "h_order"), burr_coloring, None),
+}
+
+
 def _cmd_construct(args) -> int:
     family = args.family
-    if family == "thm17":
-        for name in ("m", "s", "t", "n"):
-            _require(args, name, family)
-        coloring = thm17_construction(args.m, args.s, args.t, args.n)
-        params = {"m": args.m, "s": args.s, "t": args.t, "n": args.n}
-        red = f"K{args.m}"
-        blue = format_target(
-            patterns.copies_pattern(args.s, patterns.Fan(args.t, args.n))
-        )
-    elif family == "lemma27":
-        for name in ("s", "t", "n"):
-            _require(args, name, family)
-        coloring = lemma27_construction(args.s, args.t, args.n)
-        params = {"s": args.s, "t": args.t, "n": args.n}
-        red = f"M:{args.s}"
-        blue = f"F:{args.t},{args.n}"
-    else:  # burr; argparse rejects any other family
-        for name in ("chi", "surplus", "h_order"):
-            _require(args, name, family)
-        coloring = burr_coloring(args.chi, args.surplus, args.h_order)
-        params = {"chi": args.chi, "surplus": args.surplus, "h_order": args.h_order}
-        red = args.red
-        blue = args.blue
-        if (red is None) != (blue is None):
-            raise UsageError("burr certification needs both --red and --blue")
+    names, construct, targets = _FAMILIES[family]
+    params = {}
+    for name in names:
+        if getattr(args, name) is None:
+            raise UsageError(f"family {family!r} needs --{name.replace('_', '-')}")
+        params[name] = getattr(args, name)
+    coloring = construct(*params.values())
+    red, blue = targets(*params.values()) if targets else (None, None)
+    if targets is None and (args.red is None) != (args.blue is None):
+        raise UsageError(f"{family} certification needs both --red and --blue")
     if args.red is not None:
         red = args.red
     if args.blue is not None:
@@ -262,86 +260,54 @@ def _cmd_bound(args) -> int:
 
 
 def _search_report(
-    command: str, red: str, blue: str, params: dict, result: search.SearchResult
+    command: str, red: str, blue: str, params: dict,
+    value, status: str, witness, stats, caps,
 ) -> dict:
+    """A ramsey or star report, as a search prints it and a replay rebuilds
+    it: the witness is a certificate object or None, stats and caps JSON
+    objects."""
+    return _report(
+        command, red=red, blue=blue, **params,
+        value=value, status=status, witness=witness, stats=stats, caps=caps,
+    )
+
+
+def _cmd_search(args) -> int:
+    """ramsey and star: replay a cached exact value backed by its witness,
+    or search, print the result and cache it when it can be replayed."""
+    cfg = _search_config(args)
+    command = args.subcommand
+    # looked up on the module at run time, so a patched search is called
+    if command == "ramsey":
+        params, runner = {"lo": args.lo, "hi": args.hi}, search.ramsey_number
+    else:
+        params, runner = {"r": args.r}, search.star_critical
+    red = format_target(parse_target(args.red))
+    blue = format_target(parse_target(args.blue))
+    cache_file = _cache_path(args)
+    if cache_file:
+        doc = _replay(cache_file, command, red, blue, params)
+        if doc is not None:
+            _emit(doc)
+            return 0
+    try:
+        result = runner(args.red, args.blue, *params.values(), cfg)
+    except RangeError as exc:
+        _emit(_report(command, red=red, blue=blue, **params, value=None,
+                      status="no_value_in_range", error=str(exc)))
+        return 1
     witness = None
     if result.witness is not None:
         witness = certificate_obj(check_free(result.witness, red, blue))
-    return _report(
-        command,
-        red=red,
-        blue=blue,
-        **params,
-        value=result.value,
-        status=result.status,
-        witness=witness,
-        stats=asdict(result.stats),
-        caps=[_cap_obj(cap) for cap in result.caps],
-    )
-
-
-def _finish_search(args, command: str, params: dict, runner) -> int:
-    red_c = format_target(parse_target(args.red))
-    blue_c = format_target(parse_target(args.blue))
-    cache_file = _cache_path(args)
-    if cache_file:
-        stored = _replay(cache_file, command, red_c, blue_c, params)
-        if stored is not None:  # an exact value backed by its witness
-            _emit(stored)
-            return 0
-    try:
-        result = runner()
-    except RangeError as exc:
-        doc = _report(
-            command,
-            red=red_c,
-            blue=blue_c,
-            **params,
-            value=None,
-            status="no_value_in_range",
-            error=str(exc),
-        )
-        _emit(doc)
-        return 1
-    doc = _search_report(command, red_c, blue_c, params, result)
+    doc = _search_report(command, red, blue, params, result.value, result.status, witness,
+                         asdict(result.stats), [_cap_obj(cap) for cap in result.caps])
     _emit(doc)
     # a value without a witness (r = 1, or a star value of 0) could never
     # pass _backs on replay, so it is not stored
-    if cache_file and result.status == "exact" and result.witness is not None:
-        cache_store(
-            cache_file, ResultRecord(command, red_c, blue_c, params, result.value, doc)
-        )
-    return _search_exit(result.status, result.value)
-
-
-def _search_exit(status, value) -> int:
-    if status == "exact" and value is not None:
-        return 0
-    if status == "budget_exhausted":
-        return 2
-    return 1
-
-
-def _cmd_ramsey(args) -> int:
-    cfg = _search_config(args)
-    params = {"lo": args.lo, "hi": args.hi}
-    return _finish_search(
-        args,
-        "ramsey",
-        params,
-        lambda: search.ramsey_number(args.red, args.blue, args.lo, args.hi, cfg),
-    )
-
-
-def _cmd_star(args) -> int:
-    cfg = _search_config(args)
-    params = {"r": args.r}
-    return _finish_search(
-        args,
-        "star",
-        params,
-        lambda: search.star_critical(args.red, args.blue, args.r, cfg),
-    )
+    if cache_file and result.status == "exact" and witness is not None:
+        cache_store(cache_file, ResultRecord(command, red, blue, params, result.value, doc))
+    # a search ends exact, with a value, or with its budget exhausted
+    return 0 if result.status == "exact" else 2
 
 
 def _cmd_packing_check(args) -> int:
@@ -396,11 +362,6 @@ class UsageError(Exception):
     pass
 
 
-def _require(args, name: str, family: str) -> None:
-    if getattr(args, name) is None:
-        raise UsageError(f"family {family!r} needs --{name.replace('_', '-')}")
-
-
 def _add_cache_flag(p) -> None:
     p.add_argument("--cache", help="result cache file (or FANRAM_CACHE env)")
 
@@ -424,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("construct", help="build a named extremal coloring")
-    p.add_argument("--family", required=True, choices=("thm17", "lemma27", "burr"))
+    p.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p.add_argument("--m", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
@@ -465,12 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search_flags(p)
     p.add_argument("--lo", type=int, default=1)
     p.add_argument("--hi", type=int, required=True)
-    p.set_defaults(func=_cmd_ramsey)
+    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("star", help="exact star-critical Ramsey number")
     _add_search_flags(p)
     p.add_argument("--r", type=int, required=True, help="the exact Ramsey number of the pair")
-    p.set_defaults(func=_cmd_star)
+    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("packing-check", help="randomized clique-packing property harness")
     p.add_argument("--t", type=int, required=True)

@@ -128,19 +128,19 @@ def serialize_certificate(cert: Certificate) -> str:
 
 def load_certificate(text: str) -> Certificate:
     """Parse a serialized certificate, decode its coloring from the host and
-    red strings, re-run the check, and require that the recomputed verdicts
-    and hash match the stored ones."""
+    red strings, re-run the check, and require that the stored object equal
+    the recomputed one (certificate_obj) in every field: format, targets,
+    both verdicts and the hash, with no field missing or extra."""
     try:
         doc = json.loads(text)
         coloring = TwoColoring(decode(doc["host"]), decode(doc["red"]))
         red_t = parse_target(doc["red_target"])
         blue_t = parse_target(doc["blue_target"])
-        stored_hash = doc["content_hash"]
     except Exception as exc:  # noqa: BLE001 - any defect is corruption here
         raise CorruptRecord(f"certificate unreadable: {exc}") from exc
     cert = check_free(coloring, red_t, blue_t)
-    if cert.content_hash != stored_hash:
-        raise CorruptRecord("certificate hash mismatch after re-validation")
+    if doc != certificate_obj(cert):
+        raise CorruptRecord("certificate differs from its re-validation")
     return cert
 
 

@@ -112,8 +112,19 @@ def test_construct_invalid_certification_exits_one(capsys):
 
 
 def test_construct_missing_params(capsys):
-    code, _, err = run(capsys, "construct", "--family", "thm17", "--m", "3")
-    assert code == 2 and "needs" in err
+    assert run(capsys, "construct", "--family", "thm17", "--m", "3") == (
+        2, "", "error: family 'thm17' needs --s\n"
+    )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "--family", "burr", "--chi", "3", "--surplus", "1", "--h-order", "17",
+      "--red", "K3"], "burr certification needs both --red and --blue"),
+    (["bound", "--kind", "formula"], "bound --kind formula needs --formula"),
+    (["bound", "--kind", "star", "--g", "K3"], "bound --kind star needs --g and --h"),
+])
+def test_usage_error_messages(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_check_free_uses_metadata(tmp_path, capsys):
@@ -305,6 +316,21 @@ def test_star_cli(capsys):
     assert doc["value"] == 5
     host = decode(doc["witness"]["host"])
     assert host.order == 6 and host.degree(5) == 4
+
+
+def test_star_value_zero_has_no_witness_and_is_not_cached(tmp_path, capsys):
+    # G6:Cw is K3 plus an isolated vertex: r(G6:Cw, K2) = 4, and on every
+    # free coloring of K3 the fresh vertex alone completes a red G6:Cw
+    code, doc, _ = run_json(capsys, "ramsey", "--red", "G6:Cw", "--blue", "K2",
+                            "--lo", "1", "--hi", "6")
+    assert (code, doc["value"]) == (0, 4)
+    cache = tmp_path / "cache.jsonl"
+    for extra in ([], ["--cache", str(cache)]):
+        code, doc, err = run_json(capsys, "star", "--red", "G6:Cw", "--blue", "K2",
+                                  "--r", "4", *extra)
+        assert (code, err) == (0, "")
+        assert (doc["value"], doc["status"], doc["witness"]) == (0, "exact", None)
+    assert not cache.exists()
 
 
 def test_star_precondition_exit_two(capsys):
@@ -546,6 +572,36 @@ def test_cache_search_replay_checks_the_report_header(tmp_path, capsys, field, v
     assert (code, out2) == (0, out1)
     assert "not backed by its certificate" in err
     assert len(cache.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("note", "an extra key"),
+    ("red_witness", {"pattern_order": 4, "groups": [[0, 1], [2, 3]]}),  # a red M:2
+    ("format", "fanram-certificate-0"),
+])
+def test_cache_search_replay_checks_every_witness_field(tmp_path, capsys, field, value):
+    cache = tmp_path / "cache.jsonl"
+    args = M2_F21 + ["--cache", str(cache)]
+    _, out1, _ = run(capsys, *args)
+    rec = json.loads(cache.read_text())
+    rec["artifact"]["witness"][field] = value
+    cache.write_text(json.dumps(rec) + "\n")
+    code, out2, err = run(capsys, *args)
+    assert (code, out2) == (0, out1)
+    assert "failed re-validation" in err
+    assert len(cache.read_text().splitlines()) == 2
+
+
+def test_cache_search_replay_prints_witness_keys_in_report_order(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    args = M2_F21 + ["--cache", str(cache)]
+    _, out1, _ = run(capsys, *args)
+    rec = json.loads(cache.read_text())
+    witness = rec["artifact"]["witness"]
+    rec["artifact"]["witness"] = dict(reversed(witness.items()))
+    cache.write_text(json.dumps(rec) + "\n")
+    assert run(capsys, *args) == (0, out1, "")
+    assert len(cache.read_text().splitlines()) == 1
 
 
 def test_cache_subcommand_summary(tmp_path, capsys):

@@ -366,6 +366,20 @@ def test_load_certificate_rejects_corruption():
     doc["content_hash"] = "0" * 64
     with pytest.raises(CorruptRecord):
         load_certificate(json.dumps(doc))
+    # every stored field is compared, not only the hash: thm17(3,1,2,2) is
+    # free for (K3, F:2,2), and no edit may make it load as anything else
+    text = serialize_certificate(check_free(thm17_construction(3, 1, 2, 2), "K3", "F:2,2"))
+    assert load_certificate(text).valid
+    for field, value in [
+        ("red_witness", {"pattern_order": 3, "groups": [[0, 4, 5]]}),
+        ("blue_witness", {"pattern_order": 5, "groups": [[0], [1, 2], [3, 4]]}),
+        ("format", "fanram-certificate-0"),
+        ("note", "an extra key"),
+    ]:
+        doc = json.loads(text)
+        doc[field] = value
+        with pytest.raises(CorruptRecord, match="differs from its re-validation"):
+            load_certificate(json.dumps(doc))
 
 
 def test_load_certificate_bad_coloring_is_corruption():

@@ -380,6 +380,15 @@ def test_star_critical_canonical_bases_match_oracle():
         assert check_free(res.witness, red, blue).valid
 
 
+def test_star_critical_value_zero_when_every_base_is_blocked():
+    # G6:Cw is K3 plus an isolated vertex and r(G6:Cw, K2) = 4: the fresh
+    # vertex completes a red G6:Cw on every free base before any star edge
+    # is colored, so no base extends and the value is 0, with no witness
+    assert ramsey_number("G6:Cw", "K2", 1, 6).value == 4
+    res = star_critical("G6:Cw", "K2", 4)
+    assert (res.value, res.witness, res.status) == (0, None, "exact")
+
+
 def test_star_critical_preconditions():
     with pytest.raises(PreconditionViolated):
         star_critical("K3", "K3", 5)  # K_5 still has a free coloring

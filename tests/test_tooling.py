@@ -84,6 +84,26 @@ def test_tracer_counts_cache_records_parsed(tmp_path, capsys):
     assert snap["cache.records_parsed"] >= 1
 
 
+def test_tracer_sees_one_search_call_per_command(capsys):
+    # cli looks search.ramsey_number and search.star_critical up when a
+    # command runs, so the spans the benchmark times wrap each search
+    modules = {name: importlib.import_module(f"fanram.{name}") for name in MODULES}
+    tracer = _load_tracing().Tracer(modules)
+    tracer.install()
+    try:
+        values = []
+        for argv in (["ramsey", "--red", "K3", "--blue", "K3", "--lo", "1", "--hi", "8"],
+                     ["star", "--red", "K3", "--blue", "K3", "--r", "6"]):
+            assert modules["cli"].main(argv) == 0
+            values.append(json.loads(capsys.readouterr().out)["value"])
+        assert values == [6, 5]
+    finally:
+        tracer.uninstall()
+    snap = tracer.snapshot()
+    assert snap["search.ramsey_number.calls"] == 1
+    assert snap["search.star_critical.calls"] == 1
+
+
 def test_anchored_check_keeps_the_signature_the_tracer_wraps():
     # the tracer's wrapper of search._new_containment takes exactly these
     # parameters, positionally, and passes them on
