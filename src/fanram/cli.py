@@ -164,10 +164,11 @@ def _cmd_construct(args) -> int:
         red = args.red
     if args.blue is not None:
         blue = args.blue
-    cert = check_free(coloring, red, blue) if red and blue else None
     metadata = {"family": family}
     metadata.update({k: str(v) for k, v in params.items()})
-    if red and blue:
+    cert = None
+    if red is not None and blue is not None:
+        cert = check_free(coloring, red, blue)
         metadata["red_target"] = format_target(parse_target(red))
         metadata["blue_target"] = format_target(parse_target(blue))
     if args.out:
@@ -190,9 +191,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_check_free(args) -> int:
     coloring, metadata = io.load_coloring(args.file)
-    red = args.red or metadata.get("red_target")
-    blue = args.blue or metadata.get("blue_target")
-    if not red or not blue:
+    red = metadata.get("red_target") if args.red is None else args.red
+    blue = metadata.get("blue_target") if args.blue is None else args.blue
+    if red is None or blue is None:
         raise UsageError(
             "no targets: pass --red/--blue or use a file with target metadata"
         )

@@ -500,7 +500,13 @@ def _matching_at_least(rows, avail: int, k: int) -> bool:
     if k <= 0:
         return True
     if k == 1:
-        return any(rows[w] & avail for w in bits(avail))
+        rest = avail
+        while rest:
+            low = rest & -rest
+            if rows[low.bit_length() - 1] & avail:
+                return True
+            rest ^= low
+        return False
     if avail.bit_count() < 2 * k:
         return False
     if k == 2:

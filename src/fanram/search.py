@@ -15,27 +15,41 @@ the star edges (j, w) of a fresh vertex w, lets each slot also stay
 uncolored, and cuts a branch that cannot attach more edges than the best
 found so far. The search is sequential and deterministic.
 
-Degree windows. Cliques and fans are cones: K_m = K1 + K_{m-1} for m >= 2 and
-F:t,n = K1 + nK_t for t >= 2; F:t,1 is read as the clique K_{t+1}
-(patterns._clique_form), so F:1,1 gets the cap of K2. If a vertex of a
-free coloring of K_N had red degree r(R', B) or more, where R' is the red
-target R without its cone vertex, its red neighborhood would hold a red R'
-(with the vertex, a red R) or a blue B. So every vertex has red degree at
-most r(R', B) - 1, and blue degree at most r(R, B') - 1 with B' defined the
-same way. On a complete host red + blue + uncolored = N - 1 at every vertex,
+Degree windows. Take any vertex x of the blue target B. If a vertex v of a
+free coloring of K_N had blue degree r(R, B - x) or more, its blue
+neighborhood would hold a red R or a blue B - x, and mapping x to v would
+complete a blue B. So every vertex has blue degree at most r(R, B - x) - 1,
+and likewise red degree at most r(R - x, B) - 1 for a vertex x of the red
+target R. On a complete host red + blue + uncolored = N - 1 at every vertex,
 so the floor each cap puts on the other color's final degree is the cap
 itself: the DFS cuts a branch as soon as an endpoint of the edge just
 colored goes over its cap, and returns at the root when the two caps sum to
-less than N - 1. Matchings, copies and explicit targets are not cones here
-and get no cap on their side.
+less than N - 1.
 
-Each cap comes from this module: r(K1, H) = 1, r(K2, H) = |V(H)| when H has
-no isolated vertex, and otherwise a scan of the smaller pair by the same
-search, starting one order above its verified construction if it has one.
-A cap at order N is scanned only up to N - 1, the largest order at which it
-can bind. Cap scans charge the caller's node counter and budget. Their
-results live in a table that one top-level call shares across every nesting
-level and drops when it returns, and they are reported as
+For a cone B = K1 + H, x is the apex and B - x = H (_cone_base): K_{m-1} for
+K_m (m >= 2), K1 for M:1, which is K2, and nK_t for F:t,n (t >= 2); F:t,1 is
+read as the clique K_{t+1} (patterns._clique_form). A matching M_s (s >= 2)
+and s copies of a cone C split instead (_vertex_split): B - x is the
+disjoint union of G = M_{s-1} (K2 for s = 2) and H = K1, or of G = (s-1)C
+and H the base of C with x the apex of one copy, which covers the paper's
+sF_{t,n}. Then r(R, G + H) <= max(r(R, G) + |V(H)|, r(R, H)): at N at least
+both, a coloring with no red R has a blue H, and the N - |V(H)| vertices off
+it hold a blue G. The window takes the smaller of this bound and the one
+with G and H swapped. Stars F:1,n (n >= 2), their copies and explicit
+targets get no cap on their side.
+
+So every number a window uses is the Ramsey number of a smaller pair of
+standard targets. r(R, K1) = 1 is a constant with no table entry, r(K2, H) =
+|V(H)| is an identity when H has no isolated vertex, and any other pair is
+scanned by the same search, starting one order above its verified
+construction if it has one. A window at order N asks for each value below N,
+except r(R, G) in a sum, below N - |V(H)|, and scans each pair only up to
+one order below that, the largest order where it can bind. A pair is not
+scanned at all when one pattern P has at least that many vertices and the
+other an edge: K_{|V(P)|-1} colored wholly in P's color is free, so the
+value cannot bind. Cap scans charge the caller's node counter and budget.
+Their results live in a table that one top-level call shares across every
+nesting level and drops when it returns, and they are reported as
 SearchResult.caps. Because the cut branches hold no free coloring and the
 DFS order is unchanged, every first coloring found equals the plain
 search's.
@@ -66,7 +80,7 @@ from .errors import (
     RangeError,
     SamplingFailure,
 )
-from .graphs import Graph, bits, complete, relabel, star_augmented
+from .graphs import Graph, complete, relabel, star_augmented
 from .patterns import (
     Clique,
     Copies,
@@ -79,6 +93,7 @@ from .patterns import (
     _copies_through,
     _fans_through,
     _matching_at_least,
+    copies_pattern,
     kt_packing,
     normalize_pattern,
     parse_target,
@@ -114,7 +129,7 @@ class DegreeCap:
     """What one top-level call knows about r(red, blue) for a smaller pair
     whose value caps vertex degrees of a larger one.
 
-    source is "identity" (r(K1, H) or r(K2, H)) or "search". free_order is
+    source is "identity" (r(K2, H)) or "search". free_order is
     the largest order known to admit a free coloring, value the Ramsey
     number once known. nodes counts the DFS nodes of this pair's own orders,
     not those of the caps they used in turn. caps_for lists the
@@ -176,7 +191,13 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
         if m == 3:
             return common != 0
         if m == 4:
-            return any(rows[w] & common for w in bits(common))
+            rest = common
+            while rest:
+                low = rest & -rest
+                if rows[low.bit_length() - 1] & common:
+                    return True
+                rest ^= low
+            return False
         return _clique_search(rows, common, m - 2) is not None
     if isinstance(target, Fan):
         if target.t == 2:
@@ -185,12 +206,17 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
             # of center u (or {u, w} of center v) or as the blade of center w
             k = target.n - 1
             bu, bv = 1 << u, 1 << v
-            return any(
-                _matching_at_least(rows, rows[u] & ~(bv | 1 << w), k)
-                or _matching_at_least(rows, rows[v] & ~(bu | 1 << w), k)
-                or _matching_at_least(rows, rows[w] & ~(bu | bv), k)
-                for w in bits(rows[u] & rows[v])
-            )
+            common = rows[u] & rows[v]
+            while common:
+                bw = common & -common
+                if (
+                    _matching_at_least(rows, rows[u] & ~(bv | bw), k)
+                    or _matching_at_least(rows, rows[v] & ~(bu | bw), k)
+                    or _matching_at_least(rows, rows[bw.bit_length() - 1] & ~(bu | bv), k)
+                ):
+                    return True
+                common ^= bw
+            return False
         return next(_fans_through(rows, target, u, v), None) is not None
     if isinstance(target, Matching):
         avoid = ((1 << n) - 1) & ~(1 << u | 1 << v)
@@ -230,11 +256,13 @@ def _is_complete(host: Graph) -> bool:
 
 def _cone_base(p: TargetPattern) -> TargetPattern | None:
     """H with p = K1 + H, for the cones the degree windows use: K_{m-1} for
-    K_m (m >= 2), F:t,1 read as K_{t+1}, and nK_t for F:t,n (t >= 2, n >= 2).
-    None for other targets."""
+    K_m (m >= 2), K1 for M:1, which is K2, F:t,1 read as K_{t+1}, and nK_t
+    for F:t,n (t >= 2, n >= 2). None for other targets."""
     p = _clique_form(p)
     if isinstance(p, Clique) and p.size >= 2:
         return Clique(p.size - 1)
+    if isinstance(p, Matching) and p.size == 1:
+        return Clique(1)
     if isinstance(p, Fan) and p.t >= 2:
         if p.t == 2:
             return Matching(p.n)
@@ -242,11 +270,23 @@ def _cone_base(p: TargetPattern) -> TargetPattern | None:
     return None
 
 
+def _vertex_split(p: TargetPattern) -> tuple[TargetPattern, TargetPattern] | None:
+    """(G, H) with p - x the disjoint union of G and H, for one vertex x of
+    a target that is not a cone: M_{s-1} (M:1 read as K2) and K1 for M_s
+    (s >= 2), and (s-1)C and the base of C for s copies of a cone C, x the
+    apex of one copy, with F:t,1 read as K_{t+1}. None for other targets."""
+    if isinstance(p, Matching) and p.size >= 2:
+        return (Matching(p.size - 1) if p.size > 2 else Clique(2)), Clique(1)
+    if isinstance(p, Copies):
+        base = _cone_base(p.inner)
+        if base is not None:
+            return copies_pattern(p.count - 1, _clique_form(p.inner)), base
+    return None
+
+
 def _identity_value(red_t: TargetPattern, blue_t: TargetPattern) -> int | None:
-    """r(K1, H) = 1, and r(K2, H) = |V(H)| when H has no isolated vertex, in
-    either orientation; None when neither identity applies."""
-    if Clique(1) in (red_t, blue_t):
-        return 1
+    """r(K2, H) = |V(H)| when H has no isolated vertex, in either
+    orientation; None when the identity does not apply."""
     for a, b in ((red_t, blue_t), (blue_t, red_t)):
         if a == Clique(2) and all(pattern_graph(b).rows):
             return pattern_order(b)
@@ -269,15 +309,43 @@ class _CapTable:
 
     def windows(self, red_t: TargetPattern, blue_t: TargetPattern, order: int) -> tuple[int, int]:
         """(red cap, blue cap) on every vertex degree of a free coloring of
-        K_order; order - 1 where no smaller cap is proven."""
-        cap_red = cap_blue = order - 1
-        base = _cone_base(red_t)
+        K_order; order - 1 where no smaller cap is proven. The blue cap is
+        r(R, B - x) - 1 for a cone B (_cone_base), and for a split target,
+        B - x = G + H (_vertex_split), it is
+        min(max(r(R, G) + |V(H)|, r(R, H)), max(r(R, H) + |V(G)|, r(R, G))) - 1,
+        each value read from the pair's row in caps, r(R, K1) = 1 from none;
+        the red cap is the same with the colors swapped."""
+        return (
+            self._bound_minus_vertex("red", red_t, blue_t, order) - 1,
+            self._bound_minus_vertex("blue", red_t, blue_t, order) - 1,
+        )
+
+    def _bound_minus_vertex(
+        self, color: str, red_t: TargetPattern, blue_t: TargetPattern, order: int
+    ) -> int:
+        """A bound on r(R - x, B) for color "red" or r(R, B - x) for "blue",
+        or order where none below order is proven. r(R, G) is asked below
+        order - |V(H)| only, the largest order where the sum can bind."""
+        use = (color, red_t, blue_t)
+
+        def value(part: TargetPattern, below: int) -> int:
+            if part == Clique(1):
+                return 1
+            pair = (part, blue_t) if color == "red" else (red_t, part)
+            return self._value_below(*pair, below, use)
+
+        target = red_t if color == "red" else blue_t
+        base = _cone_base(target)
         if base is not None:
-            cap_red = self._value_below(base, blue_t, order, ("red", red_t, blue_t)) - 1
-        base = _cone_base(blue_t)
-        if base is not None:
-            cap_blue = self._value_below(red_t, base, order, ("blue", red_t, blue_t)) - 1
-        return cap_red, cap_blue
+            return value(base, order)
+        split = _vertex_split(target)
+        if split is None:
+            return order
+        bounds = []
+        for g, h in (split, split[::-1]):
+            k = pattern_order(h)
+            bounds.append(max(value(g, order - k) + k, value(h, order)))
+        return min(bounds)
 
     def _value_below(
         self,
@@ -287,7 +355,14 @@ class _CapTable:
         use: tuple[str, TargetPattern, TargetPattern],
     ) -> int:
         """r(red_t, blue_t) if it is below order, else order. Scans the pair
-        no further than order - 1, the largest order where the cap binds."""
+        no further than order - 1, the largest order where the cap binds,
+        and not at all when one pattern has order or more vertices and the
+        other an edge, which puts r(red_t, blue_t) at order or above."""
+        if any(
+            pattern_order(a) >= order and any(pattern_graph(b).rows)
+            for a, b in ((red_t, blue_t), (blue_t, red_t))
+        ):
+            return order
         cap = self.pairs.get((red_t, blue_t))
         if cap is None:
             cap = self._new(red_t, blue_t)

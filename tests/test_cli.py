@@ -153,6 +153,24 @@ def test_check_free_without_targets(tmp_path, capsys):
     assert code == 2 and "target" in err
 
 
+@pytest.mark.parametrize("flag", ["--red", "--blue"])
+def test_construct_rejects_an_empty_target(capsys, flag):
+    # an empty target is a parse error, not a request to skip the check
+    argv = ["construct", "--family", "thm17", "--m", "3", "--s", "1", "--t", "2", "--n", "2"]
+    assert run(capsys, *argv, flag, "") == (2, "", "error: empty target (at position 0)\n")
+
+
+@pytest.mark.parametrize("flag", ["--red", "--blue"])
+def test_check_free_rejects_an_empty_target(tmp_path, capsys, flag):
+    # the file names both targets; an empty flag must not fall back to them
+    out_file = tmp_path / "c.fr2"
+    argv = ["construct", "--family", "lemma27", "--s", "2", "--t", "2", "--n", "2"]
+    run(capsys, *argv, "--out", str(out_file))
+    assert run(capsys, "check-free", "--file", str(out_file), flag, "") == (
+        2, "", "error: empty target (at position 0)\n"
+    )
+
+
 def test_check_free_non_ascii_file_exits_two(tmp_path, capsys):
     f = tmp_path / "accent.fr2"
     f.write_bytes("D~{\né\n".encode())
@@ -264,13 +282,15 @@ def test_graph_over_the_order_cap_exits_two_before_it_is_built(capsys):
 
 
 def test_clique_copies_cap_starts_at_its_seed(capsys):
-    # the (K3,2xK3) cap of F:3,2 starts at thm17(3,2,2,1)'s order 7
+    # the (K3,2xK3) cap of F:3,2 starts at thm17(3,2,2,1)'s order 7; with
+    # the blue window of 2xK3 (from r(K3, K2) and r(K3, K3)) it settles K8
+    # in 3,494 nodes, and the budget then runs out in K13 itself
     argv = ["ramsey", "--red", "K3", "--blue", "F:3,2", "--lo", "13", "--hi", "13"]
-    for budget, nodes in ((10, 11), (4000, 4001)):
+    for budget, nodes, settled in ((10, 11, (None, 7, 0)), (4000, 4001, (8, 7, 3494))):
         code, doc, _ = run_json(capsys, *argv, "--budget", str(budget))
         assert (code, doc["status"], doc["stats"]["nodes"]) == (2, "budget_exhausted", nodes)
         cap = next(c for c in doc["caps"] if (c["red"], c["blue"]) == ("K3", "2xK3"))
-        assert (cap["value"], cap["free_order"]) == (None, 7)
+        assert (cap["value"], cap["free_order"], cap["nodes"]) == settled
 
 
 def test_flags_that_did_nothing_are_gone(capsys):

@@ -12,8 +12,15 @@ import pytest
 from fanram.colorings import TwoColoring, check_free, lemma27_construction, thm17_construction
 from fanram.errors import BadParam, BudgetExhausted, PreconditionViolated, RangeError
 from fanram.graph6 import encode
-from fanram.graphs import complete, from_edges, is_connected
-from fanram.patterns import _blossom, _contains_rows, contains_target, parse_target, pattern_order
+from fanram.graphs import complete, from_edges, induced, is_connected
+from fanram.patterns import (
+    _blossom,
+    _contains_rows,
+    contains_target,
+    parse_target,
+    pattern_graph,
+    pattern_order,
+)
 from fanram.search import (
     SearchConfig,
     SearchStats,
@@ -265,7 +272,7 @@ def test_fan22_centers_need_no_blossom(monkeypatch):
     assert res.status == "budget_exhausted"
     assert blossoms == [0]
     assert res.stats == SearchStats(
-        nodes=14001, red_prunes=2061, blue_prunes=2770, degree_prunes=1982, iso_prunes=315
+        nodes=14001, red_prunes=2066, blue_prunes=2758, degree_prunes=1990, iso_prunes=314
     )
 
 
@@ -277,12 +284,12 @@ def test_small_matchings_need_no_blossom(monkeypatch):
     res = ramsey_number("K3", "M:4", 1, 12)
     assert (res.value, res.status) == (9, "exact")
     assert res.stats == SearchStats(
-        nodes=3654, red_prunes=544, blue_prunes=905, degree_prunes=2, iso_prunes=726
+        nodes=2646, red_prunes=397, blue_prunes=602, degree_prunes=54, iso_prunes=497
     )
     star = star_critical("M:3", "F:2,2", 8)
     assert star.value == 6
     assert star.stats == SearchStats(
-        nodes=7073, red_prunes=1656, blue_prunes=1072, degree_prunes=2, iso_prunes=1611
+        nodes=5257, red_prunes=1183, blue_prunes=788, degree_prunes=83, iso_prunes=1144
     )
     assert blossoms == [0]
 
@@ -432,6 +439,11 @@ def _all_free(order: int, red, blue, windowed: bool) -> set:
         ("M:2", "F:2,2", 6),
         ("K3", "2xF:2,1", 8),
         ("F:1,1", "F:2,2", 5),
+        ("K3", "M:3", 7),
+        ("M:3", "M:2", 7),
+        ("K3", "2xK3", 8),
+        ("M:2", "2xF:2,1", 7),
+        ("M:2", "2xF:3,1", 9),
     ],
 )
 def test_degree_windows_match_plain_search(red, blue, value):
@@ -452,6 +464,37 @@ def test_degree_windows_match_plain_search(red, blue, value):
         elif cap.free_order:
             assert exists_free_coloring(complete(cap.free_order), cap.red, cap.blue)
         assert cap.caps_for
+
+
+@pytest.mark.parametrize(
+    "red, blue",
+    [
+        ("K3", "M:2"),
+        ("M:2", "M:2"),
+        ("K3", "M:3"),
+        ("M:2", "M:3"),
+        ("F:2,1", "M:3"),
+        ("K2", "2xK3"),
+        ("M:2", "2xK3"),
+    ],
+)
+def test_union_bound_is_at_least_the_oracle_value(red, blue):
+    # B - x = G + H for x vertex 0 of B (an apex of one copy), and the window
+    # bounds r(R, G + H) by max(r(R, G) + |V(H)|, r(R, H)) under the better
+    # of the two namings of the parts: at least the blind oracle's value
+    red_t, blue_t = _as_pattern(red), _as_pattern(blue)
+    g = pattern_graph(blue_t)
+    minus_x = "G6:" + encode(induced(g, range(1, g.order)))
+
+    def bound(color, red_t, blue_t):
+        return _CapTable(SearchConfig(), SearchStats())._bound_minus_vertex(
+            color, red_t, blue_t, 20
+        )
+
+    hi = bound("blue", red_t, blue_t)
+    assert hi < 20 and bound("red", blue_t, red_t) == hi
+    # the oracle raises when every order up to hi admits a free coloring
+    assert oracle_ramsey(red, minus_x, hi) <= hi
 
 
 def test_copies_of_cliques_are_seeded_as_copies_of_fans():
@@ -492,10 +535,11 @@ def test_cap_scans_share_the_node_budget():
 
 
 def test_cap_scans_build_no_colorings(monkeypatch):
-    # K47 for (K30, K30) spends its whole budget scanning caps, r(K29, K30)
-    # and below; a scan only asks whether a free coloring exists, so the
-    # call builds no TwoColoring. Stats and caps are pinned: building no
-    # coloring must not change what the scans count.
+    # K47 for (K30, K30) spends its whole budget scanning the cap r(K29, K30)
+    # up to K23; smaller pairs such as r(K28, K30) >= 30 cannot bind below
+    # K30 and are never scanned. A scan only asks whether a free coloring
+    # exists, so the call builds no TwoColoring. Stats and caps are pinned:
+    # building no coloring must not change what the scans count.
     built = []
     post_init = TwoColoring.__post_init__
     monkeypatch.setattr(
@@ -506,20 +550,19 @@ def test_cap_scans_build_no_colorings(monkeypatch):
     assert res.status == "budget_exhausted"
     assert res.stats == SearchStats(nodes=2001)
     assert sum(cap.nodes for cap in res.caps) == 2001
-    assert len(res.caps) == 78
+    assert len(res.caps) == 1
     assert {(cap.source, cap.value) for cap in res.caps} == {("search", None)}
     assert res.caps[0].caps_for == [("red", _as_pattern("K30"), _as_pattern("K30"))]
+    # K1..K22 take C(k, 2) nodes each, C(23, 3) = 1,771 in all, and K23 the rest
     assert sorted(Counter((cap.free_order, cap.nodes) for cap in res.caps).items()) == [
-        ((0, 0), 12), ((1, 0), 11), ((2, 1), 10), ((3, 4), 9), ((4, 10), 8), ((5, 20), 7),
-        ((6, 35), 6), ((7, 56), 5), ((8, 84), 4), ((9, 120), 3), ((10, 165), 2),
-        ((10, 219), 1),
+        ((22, 2001), 1),
     ]
     caps = [
         (cap.red, cap.blue, cap.source, cap.free_order, cap.value, cap.nodes, cap.caps_for)
         for cap in res.caps
     ]
     assert hashlib.sha256(repr(caps).encode()).hexdigest() == (
-        "4b2e443935a65a802efdf71e3d14471b688b705946e122ca9198508cffda6980"
+        "62cf263d87d4e65302ff52fa72100cb55b811600a1d31281f9e7bf0e9a646625"
     )
 
 
