@@ -17,8 +17,9 @@ vertices are left to choose, since with fewer the expansion finds out as
 soon, and with one left every candidate completes a clique. The first
 clique (_clique_search), the clique and independence numbers, and the
 cliques of every packing all come from it.
-Matchings: Edmonds' blossom algorithm, except that up to three disjoint
-edges are found without it (_matching_at_least). Everything else is a
+Matchings: Edmonds' blossom algorithm, which deletes the Hungarian tree of
+every failed search, except that up to three disjoint edges are found
+without it (_matching_at_least). Everything else is a
 packing: _packings yields k disjoint embeddings of a connected pattern with
 copies ordered by ascending first vertex (a clique's lowest vertex, a fan's
 center, an explicit pattern's image of vertex 0), so no family is found
@@ -317,8 +318,10 @@ def _cliques_iter(rows, avail: int, t: int, min_v: int) -> Iterator[tuple[int, .
         need = t - len(cur)
         if need == 1:
             prefix = tuple(cur)
-            for v in bits(rest):
-                yield prefix + (v,)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                yield prefix + (low.bit_length() - 1,)
         elif rest.bit_count() >= need and not (
             fresh and need >= 3 and _greedy_bound(rows, rest, need) < need
         ):
@@ -469,18 +472,23 @@ def _two_disjoint_edges(rows, avail: int) -> bool:
     """Whether the subgraph induced by avail has two disjoint edges. Take
     its first edge ab: an edge avoiding a and b settles yes; otherwise every
     edge meets a or b, and two disjoint ones are ac and bd with c != d."""
-    for a in bits(avail):
-        na = rows[a] & avail
+    m = avail
+    while m:
+        low = m & -m
+        na = rows[low.bit_length() - 1] & avail
         if na:
             break
+        m ^= low
     else:
         return False
     b = (na & -na).bit_length() - 1
-    ab = 1 << a | 1 << b
-    rest = avail & ~ab
-    for w in bits(rest):
-        if rows[w] & rest:
+    ab = low | 1 << b
+    rest = m = avail & ~ab
+    while m:
+        low = m & -m
+        if rows[low.bit_length() - 1] & rest:
             return True
+        m ^= low
     na &= ~ab
     nb = rows[b] & rest
     return bool(na and nb) and (na | nb).bit_count() >= 2
@@ -513,18 +521,28 @@ def _matching_at_least(rows, avail: int, k: int) -> bool:
         return _two_disjoint_edges(rows, avail)
     sub = [0] * len(rows)
     touched = 0
-    for w in bits(avail):
+    x = least = len(rows)
+    m = avail
+    while m:
+        low = m & -m
+        m ^= low
+        w = low.bit_length() - 1
         row = rows[w] & avail
         if row:
             sub[w] = row
-            touched |= 1 << w
+            touched |= low
+            if row.bit_count() < least:
+                x, least = w, row.bit_count()
     if touched.bit_count() < 2 * k:
         return False
     if k == 3:
-        x = min(bits(touched), key=lambda w: sub[w].bit_count())
-        return any(
-            _two_disjoint_edges(rows, touched & ~(1 << x | 1 << w)) for w in bits(sub[x])
-        )
+        m = sub[x]
+        while m:
+            low = m & -m
+            m ^= low
+            if _two_disjoint_edges(rows, touched & ~(1 << x | low)):
+                return True
+        return False
     return _blossom(sub, len(rows), k)[1] >= k
 
 
@@ -539,9 +557,21 @@ def _max_matching_rows(rows, n: int) -> list[tuple[int, int]]:
 def _blossom(rows, n: int, limit: int | None = None) -> tuple[list[int], int]:
     """Mates (-1 when exposed) and size of a maximum matching: a greedy
     start, then augmenting paths with blossom contraction. With a limit,
-    stops once the matching has that many edges or can no longer reach it."""
+    stops once the matching has that many edges or can no longer reach it.
+
+    A search that finds no augmenting path leaves a Hungarian tree: its
+    outer vertices (used) have no live neighbor outside it, and its inner
+    ones (p[i] != -1) are matched into it. An alternating path can enter
+    it only at an inner vertex, along a non-matching edge, and from there
+    only go down the tree, never out again; and its one exposed vertex is
+    the root that just failed. So no augmenting path ever meets the tree,
+    now or after later augmentations, which stay outside it. Its vertices
+    leave alive for the rest of the call; the later searches walk live
+    vertices only and find the same paths and mates that searches over
+    the whole graph would, without re-walking the tree."""
     match = [-1] * n
     free = (1 << n) - 1
+    alive = free
     size = 0
     for v in range(n):
         mates = rows[v] & free
@@ -553,6 +583,7 @@ def _blossom(rows, n: int, limit: int | None = None) -> tuple[list[int], int]:
             size += 1
 
     def find_path(root: int) -> bool:
+        nonlocal alive
         p = [-1] * n
         base = list(range(n))
         used = [False] * n
@@ -583,7 +614,11 @@ def _blossom(rows, n: int, limit: int | None = None) -> tuple[list[int], int]:
 
         while q:
             v = q.popleft()
-            for to in bits(rows[v]):
+            adj = rows[v] & alive
+            while adj:
+                low = adj & -adj
+                adj ^= low
+                to = low.bit_length() - 1
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
@@ -610,17 +645,19 @@ def _blossom(rows, n: int, limit: int | None = None) -> tuple[list[int], int]:
                         return True
                     used[match[to]] = True
                     q.append(match[to])
+        alive &= ~sum(1 << i for i in range(n) if used[i] or p[i] != -1)
         return False
 
     # an exposed vertex with no augmenting path never gets one later, so each
-    # augmentation matches two exposed vertices not yet tried as roots
+    # augmentation matches two exposed vertices not yet tried as roots; a
+    # root whose neighbors all lie in dead trees fails without a search
     untried = sum(1 for v in range(n) if match[v] == -1 and rows[v])
     for root in range(n):
         if match[root] != -1 or not rows[root]:
             continue
         if limit is not None and not size < limit <= size + untried // 2:
             break
-        if find_path(root):
+        if rows[root] & alive and find_path(root):
             size += 1
             untried -= 2
         else:

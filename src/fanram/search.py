@@ -84,6 +84,7 @@ from .graphs import Graph, complete, relabel, star_augmented
 from .patterns import (
     Clique,
     Copies,
+    Explicit,
     Fan,
     Matching,
     TargetPattern,
@@ -284,6 +285,18 @@ def _vertex_split(p: TargetPattern) -> tuple[TargetPattern, TargetPattern] | Non
     return None
 
 
+def _has_edge(p: TargetPattern) -> bool:
+    """Whether p has an edge, read from its parameters, so that a pattern
+    too large to build is asked without building it."""
+    if isinstance(p, Clique):
+        return p.size >= 2
+    if isinstance(p, Copies):
+        return _has_edge(p.inner)
+    if isinstance(p, Explicit):
+        return any(p.graph.rows)
+    return True
+
+
 def _identity_value(red_t: TargetPattern, blue_t: TargetPattern) -> int | None:
     """r(K2, H) = |V(H)| when H has no isolated vertex, in either
     orientation; None when the identity does not apply."""
@@ -359,7 +372,7 @@ class _CapTable:
         and not at all when one pattern has order or more vertices and the
         other an edge, which puts r(red_t, blue_t) at order or above."""
         if any(
-            pattern_order(a) >= order and any(pattern_graph(b).rows)
+            pattern_order(a) >= order and _has_edge(b)
             for a, b in ((red_t, blue_t), (blue_t, red_t))
         ):
             return order

@@ -274,6 +274,21 @@ def test_ramsey_deep_search_exits_one_without_traceback(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("huge", ["K200", "M:100", "2xF:3,40", "F:1,199"])
+def test_huge_target_gives_the_same_answer_in_either_color(capsys, huge):
+    # a pattern past the order cap is never built: whether it has an edge,
+    # which rules out its degree-cap scans, is read from its parameters
+    docs = []
+    for red, blue in (("K3", huge), (huge, "K3")):
+        code, doc, err = run_json(
+            capsys, "ramsey", "--red", red, "--blue", blue, "--lo", "1", "--hi", "3"
+        )
+        assert (code, doc["status"], err) == (1, "no_value_in_range", "")
+        docs.append(doc)
+    mirrored = dict(docs[1], red=docs[1]["blue"], blue=docs[1]["red"])
+    assert json.dumps(mirrored) == json.dumps(docs[0])
+
+
 def test_graph_over_the_order_cap_exits_two_before_it_is_built(capsys):
     # F:99999999,2 would need a K_99999999 blade
     code, out, err = run(capsys, "detect", "--graph", "F:99999999,2", "--target", "K3")

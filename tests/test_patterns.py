@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanram.colorings import lemma27_construction
 from fanram.errors import BadParam, ParseError
 from fanram.graphs import (
     complete,
@@ -26,6 +28,7 @@ from fanram.patterns import (
     Explicit,
     Fan,
     Matching,
+    _blossom,
     _clique_search,
     _cliques_iter,
     _fans_iter,
@@ -243,6 +246,108 @@ def test_matching_against_oracles_random():
         assert got == oracle_max_matching(g), (trial, g.edges())
         if order <= 9:
             assert got == oracle_max_matching_recursive(g)
+
+
+def _odd_cliques_with_chords(rng: random.Random, order: int):
+    perm = rng.sample(range(order), order)
+    edges = set()
+    i = 0
+    while i < order:
+        size = rng.choice([1, 3, 5, 7])
+        edges.update(combinations(sorted(perm[i:i + size]), 2))
+        i += size
+    for _ in range(rng.randrange(order)):
+        edges.add(tuple(sorted(rng.sample(range(order), 2))))
+    return from_edges(order, sorted(edges))
+
+
+def _lopsided_bipartite(rng: random.Random, order: int):
+    """K_{a,b} with a >> b, as in Lemma 2.7's red graph (big side first,
+    or shuffled), plus a few random edges inside either side."""
+    small = rng.randrange(1, order // 4 + 1)
+    perm = rng.sample(range(order), order) if rng.random() < 0.5 else list(range(order))
+    big, little = perm[:order - small], perm[order - small:]
+    edges = {tuple(sorted((u, v))) for u in big for v in little}
+    for _ in range(rng.randrange(4)):
+        side = rng.choice([big, little])
+        if len(side) >= 2:
+            edges.add(tuple(sorted(rng.sample(side, 2))))
+    return from_edges(order, sorted(edges))
+
+
+def test_matching_against_oracle_at_real_sizes():
+    # a search that fails leaves a dead tree that later searches skip; that
+    # needs several exposed roots before an augmentation, which orders up
+    # to 12 rarely give
+    rng = random.Random(2020)
+    for trial in range(240):
+        order = rng.randrange(13, 61)
+        if trial % 3 == 0:
+            g = random_graph(rng, order, rng.choice([0.03, 0.06, 0.1, 0.2]))
+        elif trial % 3 == 1:
+            g = _odd_cliques_with_chords(rng, order)
+        else:
+            g = _lopsided_bipartite(rng, order)
+        nu = oracle_max_matching(g)
+        pairs = max_matching(g).groups
+        assert len(pairs) == nu, (trial, g.edges())
+        assert len({v for e in pairs for v in e}) == 2 * nu
+        assert all(g.has_edge(u, v) for u, v in pairs)
+        for k in range(4, 9):
+            assert (_blossom(g.rows, g.order, k)[1] >= k) == (nu >= k), (trial, k)
+
+
+# max_matching(g).groups of seeded G(n, p) graphs whose dead trees come
+# before augmentations; check-free reports and cache records carry these
+# witnesses, so pruning must not change them
+PINNED_MATCHINGS = [
+    (20, 142, 0.08, [(0, 13), (1, 7), (2, 9), (3, 12), (4, 15), (6, 14), (8, 18), (10, 11)]),
+    (24, 108, 0.1, [
+        (0, 22), (2, 18), (3, 17), (4, 13), (5, 19), (6, 14), (7, 9), (8, 21), (11, 23),
+        (15, 16),
+    ]),
+    (28, 155, 0.08, [
+        (0, 13), (1, 10), (2, 11), (3, 14), (5, 26), (6, 8), (7, 18), (9, 24), (12, 23),
+        (15, 22), (16, 20), (17, 19), (25, 27),
+    ]),
+    (32, 91, 0.1, [
+        (0, 18), (1, 10), (2, 13), (3, 28), (5, 21), (6, 25), (7, 29), (8, 17), (9, 19),
+        (11, 23), (12, 16), (14, 30), (15, 24), (22, 31), (26, 27),
+    ]),
+    (36, 12, 0.06, [
+        (0, 24), (1, 27), (2, 30), (4, 17), (5, 28), (6, 35), (7, 34), (8, 21), (10, 12),
+        (11, 18), (15, 29), (19, 25), (22, 23),
+    ]),
+    (40, 127, 0.08, [
+        (0, 22), (1, 29), (2, 15), (3, 31), (4, 28), (5, 7), (6, 18), (8, 33), (9, 14),
+        (10, 16), (11, 13), (12, 32), (17, 20), (21, 37), (23, 24), (25, 39), (26, 34),
+        (27, 35), (30, 38),
+    ]),
+]
+
+
+def test_matching_witnesses_are_pinned():
+    for order, seed, p, groups in PINNED_MATCHINGS:
+        g = random_graph(random.Random(seed), order, p)
+        assert list(max_matching(g).groups) == groups, (order, seed)
+    red = lemma27_construction(30, 2, 48).red
+    assert max_matching(red).groups == tuple((i, 96 + i) for i in range(29))
+
+
+def test_blossom_walks_a_dead_tree_once(monkeypatch):
+    # K_{96,29}: the greedy start matches the small side, the search from
+    # vertex 29 fails, and its dead tree holds every neighbor of the 66
+    # exposed vertices after it, which then fail without a search
+    queues = []
+
+    def counting_deque(*args):
+        queues.append(args)
+        return deque(*args)
+
+    monkeypatch.setattr("fanram.patterns.deque", counting_deque)
+    match, size = _blossom(complete_multipartite([96, 29]).rows, 125)
+    assert size == 29 and match[:29] == list(range(96, 125))
+    assert len(queues) <= 1
 
 
 def test_matching_at_least_zero_edges_is_always_true():

@@ -29,6 +29,7 @@ from fanram.search import (
     _color_slots,
     _coloring_of,
     _free_coloring_dfs,
+    _has_edge,
     _new_containment,
     _seed_coloring,
     exists_free_coloring,
@@ -522,6 +523,16 @@ def test_degree_caps_identities_and_cones():
     # the scan of r(K3, F:2,2) starts above thm17(3,1,2,2) on K8
     assert red_cap.source == "search" and red_cap.free_order >= 8
     assert (red_cap.value, blue_cap.value) == (9, 6)
+
+
+def test_has_edge_reads_the_pattern_parameters():
+    small = ["K1", "K2", "K5", "F:1,1", "F:2,3", "M:1", "M:4", "3xK1", "2xK3", "G6:B?", "G6:Bg"]
+    for text in small:
+        p = _as_pattern(text)
+        assert _has_edge(p) == any(pattern_graph(p).rows), text
+    # past the order cap, where pattern_graph raises
+    assert _has_edge(_as_pattern("K200")) and _has_edge(_as_pattern("M:100"))
+    assert not _has_edge(_as_pattern("200xK1"))
 
 
 def test_cap_scans_share_the_node_budget():
