@@ -22,9 +22,8 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 
+from . import __version__ as TOOL_VERSION
 from .errors import CorruptRecord
-
-TOOL_VERSION = "0.1.0"
 
 
 @dataclass

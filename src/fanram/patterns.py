@@ -7,8 +7,13 @@ in ascending index order, so the first witness found is reproducible.
 
 Each kind's shape is stated once: pattern_graph, and _group_sizes, which
 splits a flat embedding (images of pattern_graph's vertices in label order)
-into a witness's groups; witness_valid checks every kind by one rule, and
-_clique_form alone reads F:t,1 as the clique K_{t+1}.
+into a witness's groups; witness_valid checks every kind by one rule.
+
+One target graph can be spelled several ways: the fan F:t,1 is the clique
+K_{t+1}, M:1 and F:1,1 are K2, and s copies of K2 are M:s. _kernel_form
+alone resolves these to the one form the kernels check; the coloring search
+applies it where it starts, and the full check (_contains_rows) dispatches on
+it while still grouping the witness by the spelled kind.
 
 Three kernels check every kind. Cliques: one branch-and-bound, the
 explicit-stack enumerator _cliques_iter, which lists cliques in
@@ -30,7 +35,7 @@ off first; a center with fewer than tn left is skipped; and the blades of
 F:2,n are a matching, so a center whose neighborhood has matching number
 below n is skipped too, all before its packings are tried. Disjoint copies
 are a packing of the inner pattern, searched one connected component at a
-time; copies of F:t,1 are packed as cliques.
+time.
 
 The coloring search also uses anchored kernels: _fans_through yields the fan
 embeddings that map a pattern edge to a given host edge, its other blades
@@ -47,7 +52,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Union
 
@@ -153,17 +158,18 @@ def pattern_graph(p: TargetPattern) -> Graph:
     return p.graph
 
 
-def _clique_form(p: TargetPattern) -> TargetPattern:
-    """K_{t+1} for the fan F:t,1, which is that clique; p otherwise."""
+def _kernel_form(p: TargetPattern) -> TargetPattern:
+    """The one form the kernels check for a normalized target: the fan
+    F:t,1 is the clique K_{t+1} (so F:1,1 is K2), M:1 is K2, s copies of K2
+    are M:s, and copies of any other target are copies of its kernel form."""
     if isinstance(p, Fan) and p.n == 1:
-        return _clique(p.t + 1)
+        return Clique(p.t + 1)
+    if isinstance(p, Matching) and p.size == 1:
+        return Clique(2)
+    if isinstance(p, Copies):
+        inner = _kernel_form(p.inner)
+        return Matching(p.count) if inner == Clique(2) else Copies(p.count, inner)
     return p
-
-
-@cache
-def _clique(m: int) -> Clique:
-    """Clique(m), built once per size: _clique_form runs at every DFS node."""
-    return Clique(m)
 
 
 def parse_target(text: str) -> TargetPattern:
@@ -188,23 +194,16 @@ def parse_target(text: str) -> TargetPattern:
         m = re.fullmatch(r"K(\d+)", body)
         if not m:
             raise ParseError("expected digits after 'K'", i + 1)
-        if int(m.group(1)) == 0:
-            raise BadParam("clique size must be positive")
         inner: TargetPattern = Clique(int(m.group(1)))
     elif body.startswith("F"):
         m = re.fullmatch(r"F:(\d+),(\d+)", body)
         if not m:
             raise ParseError("expected 'F:<t>,<n>'", i + 1)
-        t, n = int(m.group(1)), int(m.group(2))
-        if t == 0 or n == 0:
-            raise BadParam("fan parameters must be positive")
-        inner = Fan(t, n)
+        inner = Fan(int(m.group(1)), int(m.group(2)))
     elif body.startswith("M"):
         m = re.fullmatch(r"M:(\d+)", body)
         if not m:
             raise ParseError("expected 'M:<s>'", i + 1)
-        if int(m.group(1)) == 0:
-            raise BadParam("matching size must be positive")
         inner = Matching(int(m.group(1)))
     elif body.startswith("G6:"):
         inner = Explicit(decode(body[3:]))
@@ -387,9 +386,7 @@ def _fans_through(rows, fan: Fan, u: int, v: int) -> Iterator[tuple[int, ...]]:
 
 def _copies_kernel(inner: TargetPattern):
     """The embed generator and its pat parameter (see _packings) for copies
-    of a connected clique, fan or explicit pattern; copies of F:t,1 are
-    packed as the cliques they are."""
-    inner = _clique_form(inner)
+    of a connected clique, fan or explicit pattern in kernel form."""
     if isinstance(inner, Clique):
         return _cliques_iter, inner.size
     if isinstance(inner, Fan):
@@ -737,8 +734,8 @@ def _copies_rows(rows, n: int, target: Copies) -> tuple[int, ...] | None:
 
 
 def _contains_rows(rows, n: int, target: TargetPattern) -> EmbeddingWitness | None:
-    """First embedding from the kernel of the target's kind, flat, split into
-    the witness's groups by _group_sizes."""
+    """First embedding from the kernel of the target's _kernel_form, flat,
+    split into the groups of the spelled kind by _group_sizes."""
     if isinstance(target, Copies):
         inner = normalize_pattern(target.inner)
         if isinstance(inner, (Matching, Copies)) or isinstance(inner, Explicit) and (
@@ -746,22 +743,23 @@ def _contains_rows(rows, n: int, target: TargetPattern) -> EmbeddingWitness | No
         ):
             raise BadParam("inner pattern of copies must be connected")
     t = normalize_pattern(target)
+    k = _kernel_form(t)
     full = (1 << n) - 1
-    if isinstance(t, Clique):
-        flat = _clique_search(rows, full, t.size)
-    elif isinstance(t, Matching):
+    if isinstance(k, Clique):
+        flat = _clique_search(rows, full, k.size)
+    elif isinstance(k, Matching):
         pairs = _max_matching_rows(rows, n)
-        flat = None if len(pairs) < t.size else tuple(v for e in pairs[: t.size] for v in e)
-    elif isinstance(t, Fan):
-        flat = next(_fans_iter(rows, full, t, 0), None)
-    elif isinstance(t, Copies):
-        flat = _copies_rows(rows, n, t)
+        flat = None if len(pairs) < k.size else tuple(v for e in pairs[: k.size] for v in e)
+    elif isinstance(k, Fan):
+        flat = next(_fans_iter(rows, full, k, 0), None)
+    elif isinstance(k, Copies):
+        flat = _copies_rows(rows, n, k)
     else:
-        flat = None if t.graph.order > n else next(_embed_iter(rows, full, t.graph, 0), None)
+        flat = None if k.graph.order > n else next(_embed_iter(rows, full, k.graph, 0), None)
     if flat is None:
         return None
     it = iter(flat)
-    return EmbeddingWitness(len(flat), tuple(tuple(islice(it, k)) for k in _group_sizes(t)))
+    return EmbeddingWitness(len(flat), tuple(tuple(islice(it, m)) for m in _group_sizes(t)))
 
 
 def contains_target(g: Graph, target: TargetPattern) -> EmbeddingWitness | None:

@@ -26,32 +26,35 @@ itself: the DFS cuts a branch as soon as an endpoint of the edge just
 colored goes over its cap, and returns at the root when the two caps sum to
 less than N - 1.
 
+Every search sees its targets in kernel form (patterns._kernel_form, applied
+once by _as_pattern): F:t,1 is the clique K_{t+1}, M:1 is K2 and s copies of
+K2 are M:s, so every spelling of a pair runs one search, with one cap table,
+one r(K2, H) identity and one seed.
+
 For a cone B = K1 + H, x is the apex and B - x = H (_cone_base): K_{m-1} for
-K_m (m >= 2), K1 for M:1, which is K2, and nK_t for F:t,n (t >= 2); F:t,1 is
-read as the clique K_{t+1} (patterns._clique_form). A matching M_s (s >= 2)
-and s copies of a cone C split instead (_vertex_split): B - x is the
-disjoint union of G = M_{s-1} (K2 for s = 2) and H = K1, or of G = (s-1)C
-and H the base of C with x the apex of one copy, which covers the paper's
-sF_{t,n}. Then r(R, G + H) <= max(r(R, G) + |V(H)|, r(R, H)): at N at least
-both, a coloring with no red R has a blue H, and the N - |V(H)| vertices off
-it hold a blue G. The window takes the smaller of this bound and the one
-with G and H swapped. Stars F:1,n (n >= 2), their copies and explicit
-targets get no cap on their side.
+K_m (m >= 2) and nK_t for F:t,n (t >= 2). A matching M_s (s >= 2) and s copies
+of a cone C split instead (_vertex_split): B - x is the disjoint union of
+G = M_{s-1} (K2 for s = 2) and H = K1, or of G = (s-1)C and H the base of C
+with x the apex of one copy, which covers the paper's sF_{t,n}. Then
+r(R, G + H) <= max(r(R, G) + |V(H)|, r(R, H)): at N at least both, a coloring
+with no red R has a blue H, and the N - |V(H)| vertices off it hold a blue G.
+The window takes the smaller of this bound and the one with G and H swapped.
+Stars F:1,n (n >= 2), their copies and explicit targets get no cap on their
+side.
 
 So every number a window uses is the Ramsey number of a smaller pair of
 standard targets. r(R, K1) = 1 is a constant with no table entry, r(K2, H) =
-|V(H)| is an identity when H has no isolated vertex, and any other pair is
-scanned by the same search, starting one order above its verified
-construction if it has one. A window at order N asks for each value below N,
-except r(R, G) in a sum, below N - |V(H)|, and scans each pair only up to
-one order below that, the largest order where it can bind. A pair is not
-scanned at all when one pattern P has at least that many vertices and the
-other an edge: K_{|V(P)|-1} colored wholly in P's color is free, so the
-value cannot bind. Cap scans charge the caller's node counter and budget.
-Their results live in a table that one top-level call shares across every
-nesting level and drops when it returns, and they are reported as
-SearchResult.caps. Because the cut branches hold no free coloring and the
-DFS order is unchanged, every first coloring found equals the plain
+|V(H)| is an identity, and any other pair is scanned by the same search,
+starting one order above its verified construction if it has one. A window at
+order N asks for each value below N, except r(R, G) in a sum, below
+N - |V(H)|, and scans each pair only up to one order below that, the largest
+order where it can bind. A pair is not scanned at all when one pattern P has
+at least that many vertices and the other an edge: K_{|V(P)|-1} colored wholly
+in P's color is free, so the value cannot bind. Cap scans charge the caller's
+node counter and budget. Their results live in a table that one top-level call
+shares across every nesting level and drops when it returns, and they are
+reported as SearchResult.caps. Because the cut branches hold no free coloring
+and the DFS order is unchanged, every first coloring found equals the plain
 search's.
 
 Isomorph rejection. On a complete host the slots are the edges in
@@ -88,17 +91,16 @@ from .patterns import (
     Fan,
     Matching,
     TargetPattern,
-    _clique_form,
     _clique_search,
     _contains_rows,
     _copies_through,
     _fans_through,
+    _kernel_form,
     _matching_at_least,
     copies_pattern,
     kt_packing,
     normalize_pattern,
     parse_target,
-    pattern_graph,
     pattern_order,
 )
 
@@ -156,16 +158,18 @@ class SearchResult:
 
 
 def _as_pattern(t: TargetPattern | str) -> TargetPattern:
-    return normalize_pattern(parse_target(t) if isinstance(t, str) else t)
+    """The kernel form (patterns._kernel_form) of a target or its spelling."""
+    return _kernel_form(normalize_pattern(parse_target(t) if isinstance(t, str) else t))
 
 
 def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> bool:
     """Containment check on one color class right after edge (u, v) was added.
 
     Assumes the class without that edge was target-free, so any embedding
-    now maps a pattern edge to uv and detection is anchored there. Cliques
-    need K_{m-2} in the common neighborhood (for K3 a common neighbor, for
-    K4 an edge among the common neighbors); F:t,1 is the clique K_{t+1}.
+    now maps a pattern edge to uv and detection is anchored there. The
+    target is in kernel form (_as_pattern), so F:t,1 arrives as K_{t+1}, M:1
+    as K2 and sK2 as M:s. Cliques need K_{m-2} in the common neighborhood
+    (for K3 a common neighbor, for K4 an edge among the common neighbors).
     Fans need a center in {u, v} or the common neighborhood (_fans_through).
     For t = 2 the blades are a matching, and every center is anchored at
     its blade through a common neighbor w: a center u can only gain a fan
@@ -183,7 +187,6 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
     outside it. Explicit patterns and their copies fall back to a full
     check, which is equally sound.
     """
-    target = _clique_form(target)
     if isinstance(target, Clique):
         m = target.size
         if m <= 2:
@@ -223,7 +226,7 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
         avoid = ((1 << n) - 1) & ~(1 << u | 1 << v)
         return _matching_at_least(rows, avoid, target.size - 1)
     if isinstance(target, Copies):
-        inner = _clique_form(target.inner)
+        inner = target.inner
         if isinstance(inner, Fan) or (isinstance(inner, Clique) and inner.size >= 2):
             return _copies_through(rows, n, target.count, inner, u, v)
     return _contains_rows(rows, n, target) is not None
@@ -257,13 +260,10 @@ def _is_complete(host: Graph) -> bool:
 
 def _cone_base(p: TargetPattern) -> TargetPattern | None:
     """H with p = K1 + H, for the cones the degree windows use: K_{m-1} for
-    K_m (m >= 2), K1 for M:1, which is K2, F:t,1 read as K_{t+1}, and nK_t
-    for F:t,n (t >= 2, n >= 2). None for other targets."""
-    p = _clique_form(p)
+    K_m (m >= 2) and nK_t for F:t,n (t >= 2). p is in kernel form, where
+    F:t,1 is K_{t+1} and M:1 is K2. None for other targets."""
     if isinstance(p, Clique) and p.size >= 2:
         return Clique(p.size - 1)
-    if isinstance(p, Matching) and p.size == 1:
-        return Clique(1)
     if isinstance(p, Fan) and p.t >= 2:
         if p.t == 2:
             return Matching(p.n)
@@ -273,15 +273,15 @@ def _cone_base(p: TargetPattern) -> TargetPattern | None:
 
 def _vertex_split(p: TargetPattern) -> tuple[TargetPattern, TargetPattern] | None:
     """(G, H) with p - x the disjoint union of G and H, for one vertex x of
-    a target that is not a cone: M_{s-1} (M:1 read as K2) and K1 for M_s
-    (s >= 2), and (s-1)C and the base of C for s copies of a cone C, x the
-    apex of one copy, with F:t,1 read as K_{t+1}. None for other targets."""
+    a target in kernel form that is not a cone: M_{s-1} (K2 for s = 2) and
+    K1 for M_s (s >= 2), and (s-1)C and the base of C for s copies of a cone
+    C, x the apex of one copy. None for other targets."""
     if isinstance(p, Matching) and p.size >= 2:
         return (Matching(p.size - 1) if p.size > 2 else Clique(2)), Clique(1)
     if isinstance(p, Copies):
         base = _cone_base(p.inner)
         if base is not None:
-            return copies_pattern(p.count - 1, _clique_form(p.inner)), base
+            return copies_pattern(p.count - 1, p.inner), base
     return None
 
 
@@ -298,10 +298,11 @@ def _has_edge(p: TargetPattern) -> bool:
 
 
 def _identity_value(red_t: TargetPattern, blue_t: TargetPattern) -> int | None:
-    """r(K2, H) = |V(H)| when H has no isolated vertex, in either
-    orientation; None when the identity does not apply."""
+    """r(K2, H) = |V(H)| in either orientation, for every H: a coloring
+    with no red edge is all blue, and K_N holds H exactly when N >= |V(H)|.
+    None when neither target is K2."""
     for a, b in ((red_t, blue_t), (blue_t, red_t)):
-        if a == Clique(2) and all(pattern_graph(b).rows):
+        if a == Clique(2):
             return pattern_order(b)
     return None
 
@@ -585,32 +586,33 @@ def _color_swap(coloring: TwoColoring) -> TwoColoring:
 
 def _seed_coloring(red_t: TargetPattern, blue_t: TargetPattern) -> TwoColoring | None:
     """A verified free coloring from a known extremal construction, when the
-    target pair matches one: clique versus disjoint fans, or matching versus
-    fan, in either orientation. Copies of K_k, k >= 3, are read as copies of
-    the fan F_{k-1,1}, which is K_k. Freeness is machine-checked before use."""
-    builders = []
+    target pair matches one in either orientation: K_m versus s disjoint
+    fans F_{t,n} (thm17), or M_s versus one fan F_{t,n} (lemma27). Targets
+    come in kernel form, and one rule reads them: on the fan side K_k
+    (k >= 2) stands for F:k-1,1, alone or as the inner target of copies; on
+    the matching side K2 stands for M:1. No other reading is made, so M:s is
+    not read as s copies of F:1,1. Freeness is machine-checked before use."""
     for a, b, swap in ((red_t, blue_t, False), (blue_t, red_t, True)):
-        if isinstance(a, Clique) and isinstance(b, Fan):
-            builders.append((lambda a=a, b=b: thm17_construction(a.size, 1, b.t, b.n), swap))
-        if isinstance(a, Clique) and isinstance(b, Copies):
-            inner = b.inner
-            if isinstance(inner, Clique) and inner.size >= 3:
-                inner = Fan(inner.size - 1, 1)
-            if isinstance(inner, Fan):
-                builders.append(
-                    (lambda a=a, b=b, f=inner: thm17_construction(a.size, b.count, f.t, f.n), swap)
-                )
-        if isinstance(a, Matching) and isinstance(b, Fan):
-            builders.append((lambda a=a, b=b: lemma27_construction(a.size, b.t, b.n), swap))
-    for build, swap in builders:
-        try:
-            coloring = build()
-        except (BadParam, OrderCap):
+        count, fan = (b.count, b.inner) if isinstance(b, Copies) else (1, b)
+        if isinstance(fan, Clique) and fan.size >= 2:
+            fan = Fan(fan.size - 1, 1)
+        if not isinstance(fan, Fan):
             continue
-        if swap:
-            coloring = _color_swap(coloring)
-        if check_free(coloring, red_t, blue_t).valid:
-            return coloring
+        builds = []
+        if isinstance(a, Clique):
+            builds.append((thm17_construction, a.size, count, fan.t, fan.n))
+        matching = Matching(1) if a == Clique(2) else a
+        if isinstance(matching, Matching) and count == 1:
+            builds.append((lemma27_construction, matching.size, fan.t, fan.n))
+        for build, *args in builds:
+            try:
+                coloring = build(*args)
+            except (BadParam, OrderCap):
+                continue
+            if swap:
+                coloring = _color_swap(coloring)
+            if check_free(coloring, red_t, blue_t).valid:
+                return coloring
     return None
 
 

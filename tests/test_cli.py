@@ -12,7 +12,7 @@ from fanram.cli import main
 from fanram.colorings import check_free, load_certificate, thm17_construction
 from fanram.graph6 import decode
 from fanram.io import load_coloring, parse_coloring, render_coloring, save_coloring
-from fanram.errors import ParseError
+from fanram.errors import CorruptRecord, ParseError
 
 
 def run(capsys, *argv):
@@ -778,6 +778,57 @@ def test_cache_other_tool_version_recomputes(tmp_path, capsys):
     assert [e["tool_version"] for e in doc["entries"]] == ["0.0.0", TOOL_VERSION]
 
 
+def test_version_is_one_number():
+    # cache records are stamped with the package version, so the three
+    # places that state it must agree
+    import re
+
+    import fanram
+
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as fh:
+        version = re.search(r'^version = "([^"]+)"$', fh.read(), re.M).group(1)
+    assert version == fanram.__version__ == TOOL_VERSION
+
+
+def test_cache_record_of_an_older_release_is_recomputed(tmp_path, capsys):
+    # 0.1.0 searched K3 against K4 in 406 nodes; this release prints other
+    # stats, so a 0.1.0 record must not be replayed
+    cache = tmp_path / "cache.jsonl"
+    args = ["ramsey", "--red", "K3", "--blue", "K4", "--lo", "1", "--hi", "12",
+            "--cache", str(cache)]
+    _, fresh, _ = run(capsys, *args)
+    rec = json.loads(cache.read_text())
+    assert rec["artifact"]["stats"]["nodes"] == 348
+    rec["tool_version"] = "0.1.0"
+    rec["artifact"]["stats"]["nodes"] = 406
+    cache.write_text(json.dumps(rec) + "\n")
+    code, out, err = run(capsys, *args)
+    assert (code, out, err) == (0, fresh, "")
+    assert json.loads(out)["stats"]["nodes"] == 348
+    assert [json.loads(line)["tool_version"] for line in cache.read_text().splitlines()] == [
+        "0.1.0", TOOL_VERSION
+    ]
+
+
+def test_record_from_obj_rejects_malformed_records():
+    good = cache_module.record_to_obj(
+        ResultRecord("ramsey", "K3", "K3", {"lo": 1, "hi": 8}, 6, {})
+    )
+    cases = [
+        ([good], "cache record is not an object"),
+        ({k: v for k, v in good.items() if k != "value"}, "cache record missing fields"),
+        (dict(good, kind="census"), "unknown cache record kind 'census'"),
+        (dict(good, params=[1, 8]), "cache record params/artifact must be objects"),
+        (dict(good, artifact="x"), "cache record params/artifact must be objects"),
+    ]
+    for obj, message in cases:
+        with pytest.raises(CorruptRecord) as exc:
+            cache_module.record_from_obj(obj)
+        assert str(exc.value).startswith(message), obj
+    assert cache_module.record_from_obj(good).value == 6
+
+
 # A lookup parses only the lines that can hold its key: those that begin
 # with the key's compact head, and those that do not begin like a compact
 # record at all.
@@ -896,6 +947,19 @@ def test_fr2_text_shape():
     assert len(lines) == 3
     assert decode(lines[0]) == c.host
     assert lines[2] == "k=v"
+
+
+def test_fr2_metadata_must_fit_one_line():
+    c = thm17_construction(3, 1, 2, 1)
+    for metadata, message in (
+        ({"": "v"}, "bad metadata key ''"),
+        ({"a=b": "v"}, "bad metadata key 'a=b'"),
+        ({"a\nb": "v"}, "bad metadata key 'a\\nb'"),
+        ({"k": "v\nw"}, "bad metadata value for 'k'"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            render_coloring(c, metadata)
+        assert str(exc.value).startswith(message), metadata
 
 
 def test_fr2_parse_errors():

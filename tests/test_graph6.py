@@ -83,6 +83,21 @@ def test_parse_errors_carry_position():
         decode("D~{~")  # trailing garbage
 
 
+def test_decode_rejects_bad_headers_and_characters():
+    # "\x1f" is whitespace to str.strip, so it needs a character that is not
+    with pytest.raises(ParseError) as exc:
+        decode("D\x7f~")
+    assert exc.value.position == 1
+    assert str(exc.value).startswith("invalid graph6 character '\\x7f'")
+    # "~~" opens the eight-byte form, for orders of 2^18 and more
+    with pytest.raises(OrderCap, match="eight-byte graph6 orders"):
+        decode("~~??????")
+    with pytest.raises(ParseError) as exc:
+        decode("~??")
+    assert exc.value.position == 3
+    assert str(exc.value).startswith("truncated long-form order")
+
+
 def test_padding_must_be_zero():
     # order 3 uses 3 body bits, leaving 3 padding bits in the single body char
     good = encode(cycle_graph(3))

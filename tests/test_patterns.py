@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import deque
 from itertools import combinations
 
@@ -29,6 +30,7 @@ from fanram.patterns import (
     Fan,
     Matching,
     _blossom,
+    _kernel_form,
     _clique_search,
     _cliques_iter,
     _fans_iter,
@@ -82,9 +84,17 @@ def test_parse_normalizes():
 
 
 def test_parse_zero_counts_are_bad_params():
-    for text in ("K0", "M:0", "F:0,3", "F:2,0", "0xK3"):
-        with pytest.raises(BadParam):
+    # the target dataclasses validate; parse_target adds no check of its own
+    for text, message in (
+        ("K0", "clique size must be positive"),
+        ("M:0", "matching size must be positive"),
+        ("F:0,3", "fan parameters must be positive"),
+        ("F:2,0", "fan parameters must be positive"),
+        ("0xK3", "copy count must be positive"),
+    ):
+        with pytest.raises(BadParam) as exc:
             parse_target(text)
+        assert str(exc.value) == message, text
 
 
 def test_parse_errors_have_positions():
@@ -625,3 +635,65 @@ def test_containment_monotone_under_edges(pair, text):
     pat = parse_target(text)
     if contains_target(g, pat) is not None:
         assert contains_target(h, pat) is not None
+
+
+# ---------------------------------------------------------------------------
+# spellings of one target graph
+# ---------------------------------------------------------------------------
+
+# F:t,1 is K_{t+1}, M:1 and F:1,1 are K2, and s copies of K2 are M:s
+SPELLINGS = (
+    ("K2", "M:1", "F:1,1"),
+    ("K3", "F:2,1"),
+    ("K4", "F:3,1"),
+    ("M:2", "2xK2", "2xF:1,1"),
+    ("M:3", "3xK2", "3xF:1,1"),
+    ("2xK3", "2xF:2,1"),
+    ("2xK4", "2xF:3,1"),
+)
+
+
+def test_kernel_form_resolves_every_spelling_to_one_target():
+    for spellings in SPELLINGS:
+        forms = {_kernel_form(parse_target(text)) for text in spellings}
+        assert forms == {parse_target(spellings[0])}, spellings
+    assert _kernel_form(Copies(2, Fan(2, 2))) == Copies(2, Fan(2, 2))
+    assert _kernel_form(Fan(1, 3)) == Fan(1, 3)
+
+
+def test_every_spelling_of_a_target_finds_one_witness():
+    # one kernel per target graph: the witnesses of its spellings name the
+    # same vertices, grouped by each spelled kind; the witness of F:t,1 is
+    # the fan kernel's first fan, its center the lowest vertex of the
+    # lexicographically first (t+1)-clique and its blade the rest
+    rng = random.Random(2111)
+    for _ in range(1000):
+        g = random_graph(rng, rng.randint(1, 11), rng.random())
+        full = (1 << g.order) - 1
+        for spellings in SPELLINGS:
+            found = []
+            for text in spellings:
+                target = parse_target(text)
+                w = contains_target(g, target)
+                assert w is None or witness_valid(g, target, w), text
+                found.append(None if w is None else w.vertices())
+            assert len(set(found)) == 1, (spellings, found)
+        for t in (1, 2, 3):
+            w = contains_target(g, Fan(t, 1))
+            first = next(_fans_iter(g.rows, full, Fan(t, 1), 0), None)
+            assert (None if w is None else w.vertices()) == first
+
+
+def test_copies_of_k2_run_the_matching_kernel():
+    # three K7 and a vertex joined to all of them: a maximum matching takes
+    # three edges in each K7 and one at the joined vertex, 10 in all. Read
+    # as 11 copies of K2, the target would be packed over one component of
+    # 22 vertices; it is M:11, and blossom settles it at once
+    g = join(complete(1), graph_copies(3, complete(7)))
+    assert g.order == 22 and oracle_max_matching(g) == 10
+    start = time.perf_counter()
+    assert contains_target(g, parse_target("11xK2")) is None
+    assert time.perf_counter() - start < 1.0
+    assert contains_target(g, Matching(11)) is None
+    w = contains_target(g, parse_target("10xK2"))
+    assert w is not None and witness_valid(g, parse_target("10xK2"), w)

@@ -30,7 +30,9 @@ from fanram.search import (
     _coloring_of,
     _free_coloring_dfs,
     _has_edge,
+    _identity_value,
     _new_containment,
+    _sample_min_degree,
     _seed_coloring,
     exists_free_coloring,
     packing_property_check,
@@ -267,13 +269,14 @@ def _count_anchored_blossoms(monkeypatch) -> list[int]:
 def test_fan22_centers_need_no_blossom(monkeypatch):
     # an F:2,n center u gains its fan through spoke uv, so a common neighbor
     # w is v's blade partner and n-1 more edges lie in N(u) - {v, w}; for
-    # F:2,2 that is a one-edge scan, and the DFS runs no blossom at all
+    # F:2,2 that is a one-edge scan, and the DFS runs no blossom at all;
+    # the (K4, M:2) cap is seeded by lemma27, K4 read as F:3,1
     blossoms = _count_anchored_blossoms(monkeypatch)
     res = ramsey_number("K4", "F:2,2", 13, 13, SearchConfig(node_budget=14000))
     assert res.status == "budget_exhausted"
     assert blossoms == [0]
     assert res.stats == SearchStats(
-        nodes=14001, red_prunes=2066, blue_prunes=2758, degree_prunes=1990, iso_prunes=314
+        nodes=14001, red_prunes=2063, blue_prunes=2762, degree_prunes=1998, iso_prunes=312
     )
 
 
@@ -285,7 +288,7 @@ def test_small_matchings_need_no_blossom(monkeypatch):
     res = ramsey_number("K3", "M:4", 1, 12)
     assert (res.value, res.status) == (9, "exact")
     assert res.stats == SearchStats(
-        nodes=2646, red_prunes=397, blue_prunes=602, degree_prunes=54, iso_prunes=497
+        nodes=2483, red_prunes=363, blue_prunes=602, degree_prunes=54, iso_prunes=451
     )
     star = star_critical("M:3", "F:2,2", 8)
     assert star.value == 6
@@ -507,6 +510,73 @@ def test_copies_of_cliques_are_seeded_as_copies_of_fans():
     assert plain.stats.nodes == fans.stats.nodes
 
 
+# every spelling of one pair: F:t,1 is K_{t+1}, M:1 and F:1,1 are K2, and
+# s copies of K2 are M:s
+RAMSEY_SPELLINGS = [
+    ["K3 K3", "K3 F:2,1", "F:2,1 K3", "F:2,1 F:2,1"],
+    ["K3 M:2", "K3 2xK2", "K3 2xF:1,1"],
+    ["M:1 K3", "K2 K3", "F:1,1 K3"],
+    ["K4 F:2,1", "K4 K3"],
+    ["K3 K4", "K3 F:3,1"],
+    ["K3 2xF:2,1", "K3 2xK3"],
+    ["M:2 K4", "M:2 F:3,1"],
+    ["K3 M:4", "K3 4xK2"],
+]
+
+
+@pytest.mark.parametrize("spellings", RAMSEY_SPELLINGS)
+def test_every_spelling_of_a_pair_runs_one_ramsey_search(spellings):
+    results = [ramsey_number(*pair.split(), 1, 12) for pair in spellings]
+    first = results[0]
+    assert first.status == "exact"
+    for pair, res in zip(spellings, results):
+        assert (res.value, res.witness, res.stats, res.caps) == (
+            first.value, first.witness, first.stats, first.caps
+        ), pair
+
+
+@pytest.mark.parametrize(
+    "spellings, r",
+    [(["K3 K3", "K3 F:2,1"], 6), (["K3 M:3", "K3 3xK2"], 7), (["M:2 K3", "M:2 F:2,1"], 5)],
+)
+def test_every_spelling_of_a_pair_runs_one_star_search(spellings, r):
+    results = [star_critical(*pair.split(), r) for pair in spellings]
+    first = results[0]
+    for pair, res in zip(spellings, results):
+        assert (res.value, res.witness, res.stats, res.caps) == (
+            first.value, first.witness, first.stats, first.caps
+        ), pair
+
+
+def test_seed_rule_reads_kk_as_a_fan_and_k2_as_a_matching():
+    # on the fan side K_k (k >= 2) stands for F:k-1,1, alone or inside copies
+    seed = _seed_coloring(_as_pattern("K3"), _as_pattern("K4"))
+    assert seed == thm17_construction(3, 1, 3, 1)
+    seed = _seed_coloring(_as_pattern("M:2"), _as_pattern("K4"))
+    assert seed == lemma27_construction(2, 3, 1)
+    # on the matching side K2 stands for M:1; thm17 needs K_m with m >= 3
+    seed = _seed_coloring(_as_pattern("M:1"), _as_pattern("F:2,2"))
+    assert seed == lemma27_construction(1, 2, 2)
+    assert ramsey_number("K2", "F:2,2", 1, 8).stats.nodes == 0
+    # no other reading: M:2 is not two copies of F:1,1, so (K3, M:2) is
+    # seeded by lemma27 with K3 read as F:2,1, colors swapped, not thm17
+    swapped = lemma27_construction(2, 2, 1)
+    swapped = TwoColoring(swapped.host, swapped.blue_graph())
+    seed = _seed_coloring(_as_pattern("K3"), _as_pattern("2xF:1,1"))
+    assert seed == swapped != thm17_construction(3, 2, 1, 1)
+
+
+def test_k2_identity_holds_for_every_target():
+    # a coloring with no red edge is all blue, and K_N holds H exactly when
+    # N >= |V(H)|, isolated vertices or not
+    k2 = _as_pattern("K2")
+    for text in ("K1", "3xK1", "K3", "M:2", "G6:" + encode(from_edges(3, [(0, 1)]))):
+        h = _as_pattern(text)
+        value = oracle_ramsey("K2", text, pattern_order(h) + 1)
+        assert _identity_value(k2, h) == _identity_value(h, k2) == value == pattern_order(h)
+    assert _identity_value(_as_pattern("K3"), _as_pattern("K3")) is None
+
+
 def test_degree_caps_identities_and_cones():
     # thm17(4,1,2,2) colors K12, so the search starts at K13; the caps are
     # settled at its root, before the budget runs out in its DFS
@@ -596,6 +666,19 @@ def test_packing_determinism_and_seeds():
     assert a == b
     c = packing_property_check(2, 3, 25, SearchConfig(seed=8))
     assert c.ok
+
+
+def test_min_degree_sampling_augments_a_sparse_sample():
+    # a generator whose every coin says no edge rejects all twenty samples;
+    # the last, empty one is then augmented up to the floor
+    class NoEdges(random.Random):
+        def random(self):
+            return 1.0
+
+    for order, floor in ((6, 3), (7, 6), (9, 4)):
+        g = _sample_min_degree(NoEdges(5), order, floor)
+        assert g.order == order
+        assert min(g.degree(v) for v in range(order)) >= floor
 
 
 def test_packing_validation():

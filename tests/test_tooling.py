@@ -30,10 +30,10 @@ def test_tracer_installs_and_uninstalls_on_fanram(capsys):
         assert modules["search"]._new_containment is not before["search"]["_new_containment"]
         assert modules["patterns"].contains_target is not before["patterns"]["contains_target"]
         code = modules["cli"].main(
-            ["ramsey", "--red", "K3", "--blue", "F:2,1", "--lo", "3", "--hi", "8"]
+            ["ramsey", "--red", "K3", "--blue", "F:2,2", "--lo", "3", "--hi", "9"]
         )
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["value"] == 6  # F:2,1 is K3
+        assert json.loads(capsys.readouterr().out)["value"] == 9
     finally:
         tracer.uninstall()
     snap = tracer.snapshot()
