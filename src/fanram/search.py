@@ -13,7 +13,14 @@ without its endpoints. The Ramsey search passes the host edges in
 lexicographic order and needs every slot colored; the star extension passes
 the star edges (j, w) of a fresh vertex w, lets each slot also stay
 uncolored, and cuts a branch that cannot attach more edges than the best
-found so far. The search is sequential and deterministic.
+found so far. Each free coloring is handed over as its red and blue
+adjacency rows. The search is sequential and deterministic.
+
+The star-critical value is one pass over the free bases of K_{r-1}, each
+extended as far as it goes. An extension by all r - 1 star edges is a free
+coloring of K_r, so the same pass also checks that K_r has none: a free
+coloring of K_r restricts to a free base on its first r - 1 vertices, some
+isomorph of which the pass keeps and extends by r - 1 edges.
 
 Degree windows. Take any vertex x of the blue target B. If a vertex v of a
 free coloring of K_N had blue degree r(R, B - x) or more, its blue
@@ -65,7 +72,8 @@ u, red first, permutes only vertices with equal colors to every vertex below
 u, so it keeps every earlier star: every coloring has an isomorph that meets
 the rule on all stars, and values are unchanged. An isomorphism class may
 keep more than one representative. The star extension colors no host edges
-and is not restricted.
+and is not restricted; an isomorphism of bases maps their extensions onto
+each other, so one base per class suffices.
 """
 
 from __future__ import annotations
@@ -83,7 +91,7 @@ from .errors import (
     RangeError,
     SamplingFailure,
 )
-from .graphs import Graph, complete, relabel, star_augmented
+from .graphs import MAX_ORDER, Graph, complete, relabel, star_augmented
 from .patterns import (
     Clique,
     Copies,
@@ -428,12 +436,13 @@ def _color_slots(
     windows: tuple[int, int] | None = None,
     iso: bool = False,
     beat: int | None = None,
-) -> Iterator[list[bool | None]]:
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Color slots in order, red before blue, on top of the given color
-    classes, and yield the colors (True red, False blue, None uncolored) of
-    every free coloring reached, in DFS order. Each colored slot is one node
-    of the budget. windows caps the red and blue degree of every vertex;
-    iso applies the canonical-form restriction of a complete host.
+    classes, and yield (rows_red, rows_blue), the two classes' adjacency
+    rows as tuples, of every free coloring reached, in DFS order. Each
+    colored slot is one node of the budget. windows caps the red and blue
+    degree of every vertex; iso applies the canonical-form restriction of a
+    complete host.
 
     beat None: every slot must be colored. beat an int: a slot may also stay
     uncolored after red and blue; only colorings with more colored slots
@@ -460,7 +469,7 @@ def _color_slots(
             if beat is not None and colored + last - i <= beat:
                 k = width
             elif i == last:
-                yield [options[t - 1] for t in stack[:-1]]
+                yield tuple(rows_red), tuple(rows_blue)
                 if beat is not None:
                     beat = colored
                 k = width
@@ -521,13 +530,14 @@ def _free_coloring_dfs(
     cfg: SearchConfig,
     stats: SearchStats,
     caps: _CapTable | None,
-) -> Iterator[list[bool]]:
-    """Yield free colorings in DFS order, each as the colors (True red) of
-    host.edges(); exhaustive when fully consumed. Only callers that keep a
-    coloring build it (_coloring_of). On a complete host, only colorings
-    whose every vertex star is in canonical form (_iso_allows), at least one
-    per isomorphism class, pruned by the degree windows of caps (None: no
-    windows)."""
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield free colorings of the host in DFS order, each as its
+    (rows_red, rows_blue) (_color_slots); exhaustive when fully consumed.
+    Only callers that keep a coloring build a TwoColoring. On a complete
+    host, only colorings whose every vertex star is in canonical form
+    (_iso_allows), at least one per isomorphism class, pruned by the degree
+    windows of caps (None: no windows), which every free coloring of the
+    host meets."""
     n = host.order
     rows_red, rows_blue = [0] * n, [0] * n
     if _blocked(rows_red, rows_blue, red_t, blue_t):
@@ -544,24 +554,6 @@ def _free_coloring_dfs(
     )
 
 
-def _class_rows(host: Graph, colors: list[bool], n: int) -> tuple[list[int], list[int]]:
-    """Red and blue adjacency rows, on n >= host.order vertices, of the host
-    edges that have these colors (True red) in host.edges() order."""
-    rows_red = [0] * n
-    rows_blue = [0] * n
-    for (u, v), red in zip(host.edges(), colors):
-        rows = rows_red if red else rows_blue
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return rows_red, rows_blue
-
-
-def _coloring_of(host: Graph, colors: list[bool]) -> TwoColoring:
-    """The coloring whose edges, in host.edges() order, have these colors."""
-    rows_red, _ = _class_rows(host, colors, host.order)
-    return TwoColoring(host, Graph(host.order, tuple(rows_red)))
-
-
 def exists_free_coloring(
     host: Graph,
     red_target: TargetPattern | str,
@@ -576,8 +568,8 @@ def exists_free_coloring(
     caps = _caps if _caps is not None else _CapTable(cfg, stats)
     red_t = _as_pattern(red_target)
     blue_t = _as_pattern(blue_target)
-    colors = next(_free_coloring_dfs(host, red_t, blue_t, cfg, stats, caps), None)
-    return None if colors is None else _coloring_of(host, colors)
+    found = next(_free_coloring_dfs(host, red_t, blue_t, cfg, stats, caps), None)
+    return None if found is None else TwoColoring(host, Graph(host.order, found[0]))
 
 
 def _color_swap(coloring: TwoColoring) -> TwoColoring:
@@ -684,30 +676,36 @@ def star_critical(
     colorings are the free colorings of K_{r-1} whose every vertex star is
     in canonical form (_iso_allows), which covers every isomorphism class,
     some more than once: isomorphic bases extend equally far, so these
-    representatives suffice.
+    representatives suffice. One pass over them settles both halves of the
+    precondition, with no search of K_r: an extension by all r - 1 star
+    edges is a free coloring of K_r, and a free coloring of K_r restricts
+    to a free base on its first r - 1 vertices, which meets the degree
+    windows of K_{r-1} and has a kept isomorph that extends by r - 1 edges.
     """
     if r < 3:
         raise BadParam("need r >= 3")
+    if r > MAX_ORDER:
+        raise OrderCap(f"order {r} exceeds {MAX_ORDER}")
     cfg = config or SearchConfig()
     red_t = _as_pattern(red_target)
     blue_t = _as_pattern(blue_target)
     stats = SearchStats()
     caps = _CapTable(cfg, stats)
+    best_k = -1
+    best = None
+    saw_base = False
     try:
-        if exists_free_coloring(complete(r), red_t, blue_t, cfg, _stats=stats, _caps=caps):
-            raise PreconditionViolated(
-                f"K_{r} admits a free coloring, so r is not the Ramsey number"
-            )
-        base_host = complete(r - 1)
-        best_k = -1
-        best: tuple[list[bool], tuple[tuple[int, bool], ...]] | None = None
-        saw_base = False
-        for colors in _free_coloring_dfs(base_host, red_t, blue_t, cfg, stats, caps):
+        for base in _free_coloring_dfs(complete(r - 1), red_t, blue_t, cfg, stats, caps):
             saw_base = True
-            k, choices = _max_free_extension(base_host, colors, red_t, blue_t, cfg, stats, best_k)
-            if k > best_k:
-                best_k = k
-                best = (colors, choices)
+            found = _max_free_extension(base, red_t, blue_t, cfg, stats, best_k)
+            if found is None:
+                continue
+            best = found
+            best_k = (found[0][-1] | found[1][-1]).bit_count()
+            if best_k == r - 1:
+                raise PreconditionViolated(
+                    f"K_{r} admits a free coloring, so r is not the Ramsey number"
+                )
     except BudgetExhausted:
         return SearchResult(None, None, "budget_exhausted", stats, caps.used())
     if not saw_base:
@@ -718,58 +716,47 @@ def star_critical(
         # only reachable for targets with isolated vertices: even a bare
         # extra vertex completes an embedding on every base
         return SearchResult(0, None, "exact", stats, caps.used())
-    witness = _extension_witness(_coloring_of(base_host, best[0]), best[1])
-    return SearchResult(best_k + 1, witness, "exact", stats, caps.used())
+    return SearchResult(best_k + 1, _extension_witness(*best), "exact", stats, caps.used())
 
 
 def _max_free_extension(
-    base_host: Graph,
-    colors: list[bool],
+    base: tuple[tuple[int, ...], tuple[int, ...]],
     red_t: TargetPattern,
     blue_t: TargetPattern,
     cfg: SearchConfig,
     stats: SearchStats,
     global_best: int,
-) -> tuple[int, tuple[tuple[int, bool], ...]]:
-    """Maximum number of star edges attachable to a fresh vertex while staying
-    free, over all attachment sets and colorings, for the base coloring
-    whose edges, in base_host.edges() order, have these colors (True red).
-    Returns the edge choices (base vertex, is_red) of one maximizing
-    extension."""
-    m = base_host.order
-    rows_red, rows_blue = _class_rows(base_host, colors, m + 1)
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The (rows_red, rows_blue) of a free extension of the base coloring
+    (rows_red, rows_blue) of K_m by a fresh vertex m whose star edges, some
+    left uncolored, are as many as any such extension has, or None when
+    none has more than global_best."""
+    rows_red, rows_blue = [*base[0], 0], [*base[1], 0]
     # a pattern with isolated vertices can embed through the fresh vertex
     # before any star edge is colored
     if _blocked(rows_red, rows_blue, red_t, blue_t):
-        return -1, ()
-    best_k = -1
-    best_choices: tuple[tuple[int, bool], ...] = ()
-    slots = [(j, m) for j in range(m)]
-    for colors in _color_slots(
-        slots, rows_red, rows_blue, red_t, blue_t, cfg, stats, beat=global_best
+        return None
+    m = len(base[0])
+    best = None
+    for best in _color_slots(
+        [(j, m) for j in range(m)], rows_red, rows_blue, red_t, blue_t, cfg, stats,
+        beat=global_best,
     ):
-        best_choices = tuple((j, c) for j, c in enumerate(colors) if c is not None)
-        best_k = len(best_choices)
-    return best_k, best_choices
+        pass  # each yield beats the one before, so the last is the best
+    return best
 
 
-def _extension_witness(
-    base: TwoColoring, choices: tuple[tuple[int, bool], ...]
-) -> TwoColoring:
-    """Relabel the base so attached vertices come first, then build the
-    coloring on the star-augmented host."""
-    m = base.host.order
-    attach = [j for j, _ in choices]
-    rest = [j for j in range(m) if j not in attach]
-    perm = [0] * m
-    for new, old in enumerate(attach + rest):
+def _extension_witness(rows_red: tuple[int, ...], rows_blue: tuple[int, ...]) -> TwoColoring:
+    """The coloring of K_m plus a fresh vertex m given by these rows, on the
+    star-augmented host: the base is relabeled so that the vertices the
+    fresh vertex is attached to come first, in order."""
+    m = len(rows_red) - 1
+    attached = rows_red[m] | rows_blue[m]
+    perm = [0] * (m + 1)
+    for new, old in enumerate([*sorted(range(m), key=lambda j: not attached >> j & 1), m]):
         perm[old] = new
-    rows = [*relabel(base.red, perm).rows, 0]
-    for j, is_red in choices:
-        if is_red:
-            rows[perm[j]] |= 1 << m
-            rows[m] |= 1 << perm[j]
-    return TwoColoring(star_augmented(m, len(attach)), Graph(m + 1, tuple(rows)))
+    red = relabel(Graph(m + 1, rows_red), perm)
+    return TwoColoring(star_augmented(m, attached.bit_count()), red)
 
 
 @dataclass

@@ -373,6 +373,12 @@ def test_star_precondition_exit_two(capsys):
     assert code == 2
 
 
+def test_star_order_cap_exit_two(capsys):
+    # r is checked against the order cap before any search
+    code, out, err = run(capsys, "star", "--red", "K3", "--blue", "K3", "--r", "129")
+    assert (code, out, err) == (2, "", "error: order 129 exceeds 128\n")
+
+
 def test_packing_check_cli(capsys):
     code, doc, _ = run_json(
         capsys, "packing-check", "--t", "2", "--n", "3", "--trials", "20", "--seed", "3"
@@ -808,6 +814,25 @@ def test_cache_record_of_an_older_release_is_recomputed(tmp_path, capsys):
     assert json.loads(out)["stats"]["nodes"] == 348
     assert [json.loads(line)["tool_version"] for line in cache.read_text().splitlines()] == [
         "0.1.0", TOOL_VERSION
+    ]
+
+
+def test_star_record_of_an_older_release_is_recomputed(tmp_path, capsys):
+    # 0.2.0 searched K8 whole before it extended the bases of K7 and took
+    # 5,257 nodes for this star; a 0.2.0 record must not be replayed
+    cache = tmp_path / "cache.jsonl"
+    args = ["star", "--red", "M:3", "--blue", "F:2,2", "--r", "8", "--cache", str(cache)]
+    _, fresh, _ = run(capsys, *args)
+    rec = json.loads(cache.read_text())
+    assert rec["artifact"]["stats"]["nodes"] == 2493
+    rec["tool_version"] = "0.2.0"
+    rec["artifact"]["stats"]["nodes"] = 5257
+    cache.write_text(json.dumps(rec) + "\n")
+    code, out, err = run(capsys, *args)
+    assert (code, out, err) == (0, fresh, "")
+    assert json.loads(out)["stats"]["nodes"] == 2493
+    assert [json.loads(line)["tool_version"] for line in cache.read_text().splitlines()] == [
+        "0.2.0", TOOL_VERSION
     ]
 
 

@@ -73,8 +73,9 @@ def test_order_cap_on_decode():
 
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
-        decode("D~\x1f")  # char below the graph6 range
+        decode("D~\x01")  # below the graph6 range, and kept by str.strip
     assert exc.value.position == 2
+    assert str(exc.value).startswith("invalid graph6 character '\\x01'")
     with pytest.raises(ParseError):
         decode("")
     with pytest.raises(ParseError):

@@ -10,9 +10,9 @@ import networkx as nx
 import pytest
 
 from fanram.colorings import TwoColoring, check_free, lemma27_construction, thm17_construction
-from fanram.errors import BadParam, BudgetExhausted, PreconditionViolated, RangeError
+from fanram.errors import BadParam, BudgetExhausted, OrderCap, PreconditionViolated, RangeError
 from fanram.graph6 import encode
-from fanram.graphs import complete, from_edges, induced, is_connected
+from fanram.graphs import Graph, complete, from_edges, induced, is_connected
 from fanram.patterns import (
     _blossom,
     _contains_rows,
@@ -27,7 +27,6 @@ from fanram.search import (
     _as_pattern,
     _CapTable,
     _color_slots,
-    _coloring_of,
     _free_coloring_dfs,
     _has_edge,
     _identity_value,
@@ -293,19 +292,18 @@ def test_small_matchings_need_no_blossom(monkeypatch):
     star = star_critical("M:3", "F:2,2", 8)
     assert star.value == 6
     assert star.stats == SearchStats(
-        nodes=5257, red_prunes=1183, blue_prunes=788, degree_prunes=83, iso_prunes=1144
+        nodes=2493, red_prunes=591, blue_prunes=400, degree_prunes=27, iso_prunes=448
     )
     assert blossoms == [0]
 
 
-def _free_colorings(order: int, red, blue, iso: bool) -> list[tuple[bool, ...]]:
-    """Colors, in lexicographic edge order, of every free coloring the DFS
-    reaches on K_order with no degree windows; iso=False reaches every
-    labeled one."""
+def _free_colorings(order: int, red, blue, iso: bool) -> list[tuple[int, ...]]:
+    """Red rows of every free coloring the DFS reaches on K_order with no
+    degree windows; iso=False reaches every labeled one."""
     zero = [0] * order
     return [
-        tuple(colors)
-        for colors in _color_slots(
+        rows_red
+        for rows_red, _ in _color_slots(
             complete(order).edges(), zero[:], zero[:], _as_pattern(red), _as_pattern(blue),
             SearchConfig(), SearchStats(), iso=iso,
         )
@@ -314,11 +312,10 @@ def _free_colorings(order: int, red, blue, iso: bool) -> list[tuple[bool, ...]]:
 
 def _red_classes(order: int, colorings) -> list[nx.Graph]:
     """One networkx red graph per isomorphism class of the colorings."""
-    edges = complete(order).edges()
     reps: list[nx.Graph] = []
-    for colors in colorings:
+    for rows_red in colorings:
         g = nx.empty_graph(order)
-        g.add_edges_from(e for e, red in zip(edges, colors) if red)
+        g.add_edges_from((u, v) for u, v in complete(order).edges() if rows_red[u] >> v & 1)
         if not any(nx.is_isomorphic(g, h) for h in reps):
             reps.append(g)
     return reps
@@ -407,6 +404,33 @@ def test_star_critical_preconditions():
         star_critical("K3", "K3", 7)  # K_6 already forces
     with pytest.raises(BadParam):
         star_critical("K3", "K3", 2)
+    # r is checked against the order cap before any search
+    with pytest.raises(OrderCap, match=r"^order 129 exceeds 128$"):
+        star_critical("K3", "K3", 129)
+
+
+@pytest.mark.parametrize(
+    "red, blue, value",
+    [
+        ("M:3", "F:2,2", 8), ("K3", "M:3", 7), ("K3", "K3", 6), ("M:2", "F:2,1", 5),
+        ("M:1", "K3", 3), ("M:2", "F:2,2", 6), ("K3", "K4", 9), ("K3", "M:4", 9),
+        ("K3", "2xF:2,1", 8), ("M:3", "M:2", 7),
+    ],
+)
+def test_star_critical_finds_a_free_k_r_in_its_base_pass(red, blue, value):
+    # star_critical runs no search of K_r: an extension of a base by all
+    # r - 1 star edges is a free coloring of K_r, and every free coloring of
+    # K_r restricts to a base that extends that far, so the base pass raises
+    # exactly when the search of K_r finds a free coloring
+    for r in range(max(3, value - 1), value + 2):
+        try:
+            outcome = star_critical(red, blue, r).status
+        except PreconditionViolated as exc:
+            outcome = str(exc)
+        k_r_free = exists_free_coloring(complete(r), red, blue) is not None
+        refused = outcome == f"K_{r} admits a free coloring, so r is not the Ramsey number"
+        assert refused == k_r_free, (r, outcome)
+        assert (outcome == "exact") == (r == value), (r, outcome)
 
 
 def test_ramsey_seeds_from_construction_one_order_below_lo():
@@ -422,8 +446,8 @@ def test_ramsey_seeds_from_construction_one_order_below_lo():
 def _plain_first(order: int, red, blue):
     stats = SearchStats()
     host = complete(order)
-    colors = next(_free_coloring_dfs(host, red, blue, SearchConfig(), stats, None), None)
-    return None if colors is None else _coloring_of(host, colors)
+    found = next(_free_coloring_dfs(host, red, blue, SearchConfig(), stats, None), None)
+    return None if found is None else TwoColoring(host, Graph(order, found[0]))
 
 
 def _all_free(order: int, red, blue, windowed: bool) -> set:

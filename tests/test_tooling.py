@@ -102,6 +102,8 @@ def test_tracer_sees_one_search_call_per_command(capsys):
     snap = tracer.snapshot()
     assert snap["search.ramsey_number.calls"] == 1
     assert snap["search.star_critical.calls"] == 1
+    # the per-base extension the tracer wraps ran under the star search
+    assert snap["search.extension.calls"] >= 1
 
 
 def test_anchored_check_keeps_the_signature_the_tracer_wraps():
