@@ -10,8 +10,9 @@ only when the newest record of its key differs, and is never replayed:
 re-validating one would cost the check itself.
 
 Records are stored compactly with their key fields first, so a lookup
-skips, unparsed, every line that starts like a compact record of another
-key (see load_records); a damaged line of another key is skipped silently.
+skips, unparsed and uncopied, every line that starts like a compact record
+of another key (see load_records); a damaged line of another key is skipped
+silently.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from typing import Iterator
 
 from . import __version__ as TOOL_VERSION
 from .errors import CorruptRecord
@@ -88,12 +90,10 @@ def load_records(
     records: list[ResultRecord] = []
     try:
         with open(path, "rb") as fh:
-            lines = fh.read().splitlines()
+            data = fh.read()
     except FileNotFoundError:
         return records
-    for lineno, raw in enumerate(lines, start=1):
-        if head and raw.startswith(_COMPACT_START) and not raw.startswith(head):
-            continue
+    for lineno, raw in _lines(data, head):
         try:
             line = raw.decode("utf-8")
             if line.strip():
@@ -101,6 +101,24 @@ def load_records(
         except (UnicodeDecodeError, json.JSONDecodeError, CorruptRecord) as exc:
             warn(f"cache line {lineno} skipped: {exc}")
     return records
+
+
+def _lines(data: bytes, head: bytes | None) -> Iterator[tuple[int, bytes]]:
+    """The number and bytes of every line of data that load_records parses,
+    split where bytes.splitlines splits: at \n, \r\n and \r. Each line is
+    found by bytes.find and tested in place, so a line of another key is
+    never copied out of data."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    start, lineno, size = 0, 1, len(data)
+    while start < size:
+        end = data.find(b"\n", start)
+        if end < 0:
+            end = size
+        if not head or data.startswith(head, start) or not data.startswith(_COMPACT_START, start):
+            yield lineno, data[start:end]
+        start = end + 1
+        lineno += 1
 
 
 def cache_store(path: str | os.PathLike, rec: ResultRecord) -> None:

@@ -21,7 +21,7 @@ lexicographic order; its greedy coloring bound runs only while three or more
 vertices are left to choose, since with fewer the expansion finds out as
 soon, and with one left every candidate completes a clique. The first
 clique (_clique_search), the clique and independence numbers, and the
-cliques of every packing all come from it.
+cliques of every packing that yields a witness all come from it.
 Matchings: Edmonds' blossom algorithm, which deletes the Hungarian tree of
 every failed search, except that up to three disjoint edges are found
 without it (_matching_at_least). Everything else is a
@@ -37,14 +37,22 @@ below n is skipped too, all before its packings are tried. Disjoint copies
 are a packing of the inner pattern, searched one connected component at a
 time.
 
-The coloring search also uses anchored kernels: _fans_through yields the fan
-embeddings that map a pattern edge to a given host edge, its other blades
-packed by _blades, and _copies_through looks for disjoint copies one of
-which does. F:2,n needs no packing there: when edge uv is added, every new
-fan has a blade through a common neighbor w of u and v. A center u (or v)
-has uv as a spoke and {v, w} (or {u, w}) as a blade, and w as a center has
-uv as a blade; either way n-1 disjoint edges must remain in the center's
-neighborhood without those two vertices (search._new_containment).
+The coloring search also uses anchored kernels, which ask only whether an
+embedding maps a pattern edge to a given host edge uv. Their clique
+packings come from one yes/no packer, _clique_pack, which decides on the
+lowest vertex left whether it lies in a copy and builds no generator for
+triangles. A fan through uv is a center and a blade from _fan_starts;
+for t >= 3 the other n-1 blades are n-1 disjoint K_t left in the
+center's neighborhood (_clique_pack; search._new_containment), and
+_fans_through, which yields the embeddings, packs them with _blades.
+_copies_through completes a clique copy through uv (u, v and a K_{m-2} of
+common neighbors) with _clique_pack outside it, and a fan copy through uv
+with a packing of fans. F:2,n needs no packing there: when edge uv is
+added, every new fan has a blade through a common neighbor w of u and v. A
+center u (or v) has uv as a spoke and {v, w} (or {u, w}) as a blade, and w
+as a center has uv as a blade; either way n-1 disjoint edges must remain
+in the center's neighborhood without those two vertices
+(search._new_containment).
 """
 
 from __future__ import annotations
@@ -366,22 +374,35 @@ def _fans_iter(rows, avail: int, fan: Fan, low: int) -> Iterator[tuple[int, ...]
             yield (c,) + tuple(v for cl in blades for v in cl)
 
 
-def _fans_through(rows, fan: Fan, u: int, v: int) -> Iterator[tuple[int, ...]]:
-    """All embeddings of a fan that map a pattern edge to the host edge uv,
-    as in _fans_iter. Either the center is u (or v) and the blade through v
-    (or u) is that vertex plus a K_{t-1} in the common neighborhood, or the
-    center is a common neighbor c and one blade is u, v plus a K_{t-2} in
-    the common neighborhood of all three; n-1 more blades follow (_blades)."""
+def _fan_starts(rows, fan: Fan, u: int, v: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """The start of every fan embedding that maps a pattern edge to the host
+    edge uv, as (center, blade, the center's neighbors off the blade).
+    Either the center is u (or v) and the blade through v (or u) is that
+    vertex plus a K_{t-1} in the common neighborhood, or the center is a
+    common neighbor c and the blade is u, v plus a K_{t-2} in the common
+    neighborhood of all three. A center with fewer than tn neighbors holds
+    no fan and has none."""
     t = fan.t
+    least = t * fan.n
     common = rows[u] & rows[v]
     starts = [(c, (x,), common) for c, x in ((u, v), (v, u))]
     if t >= 2:
         starts += [(c, (u, v), common & rows[c]) for c in bits(common)]
     for c, ends, within in starts:
+        if rows[c].bit_count() < least:
+            continue
+        left = rows[c] & ~mask_of(ends)
         for rest in _cliques_iter(rows, within, t - len(ends), 0):
-            blade = ends + rest
-            for blades in _blades(rows, rows[c] & ~mask_of(blade), t, fan.n - 1):
-                yield (c,) + blade + tuple(w for cl in blades for w in cl)
+            yield c, ends + rest, left & ~mask_of(rest)
+
+
+def _fans_through(rows, fan: Fan, u: int, v: int) -> Iterator[tuple[int, ...]]:
+    """All embeddings of a fan that map a pattern edge to the host edge uv,
+    as in _fans_iter: each start (_fan_starts) followed by n-1 more blades
+    (_blades)."""
+    for c, blade, left in _fan_starts(rows, fan, u, v):
+        for blades in _blades(rows, left, fan.t, fan.n - 1):
+            yield (c,) + blade + tuple(w for cl in blades for w in cl)
 
 
 def _copies_kernel(inner: TargetPattern):
@@ -394,29 +415,75 @@ def _copies_kernel(inner: TargetPattern):
     return _embed_iter, inner.graph
 
 
+def _clique_pack(rows, avail: int, m: int, k: int) -> bool:
+    """Whether avail holds k disjoint copies of K_m, m >= 3.
+
+    Decides on the lowest vertex x of avail: either x lies in one of the
+    copies, with a K_{m-1} of its neighbors above it, and k-1 more copies
+    follow outside that one, or it lies in none and is dropped. Fewer
+    than mk vertices left settle no. For m = 3 the K_2 is a pair of
+    neighbors, found by two inline bit loops.
+
+    The coloring search asks this yes/no question at every node, where
+    _packings (the witness path) would build an embedding generator per
+    copy and _cliques_iter a greedy coloring at every root; the full check
+    keeps those, so its witnesses stay the first in _packings order."""
+    if k <= 0:
+        return True
+    while avail.bit_count() >= m * k:
+        low = avail & -avail
+        avail ^= low
+        nbrs = rows[low.bit_length() - 1] & avail
+        if m > 3:
+            for rest in _cliques_iter(rows, nbrs, m - 1, 0):
+                if _clique_pack(rows, avail & ~mask_of(rest), m, k - 1):
+                    return True
+            continue
+        while nbrs:
+            bw = nbrs & -nbrs
+            nbrs ^= bw
+            pairs = rows[bw.bit_length() - 1] & nbrs
+            if pairs and k == 1:
+                return True
+            while pairs:
+                by = pairs & -pairs
+                pairs ^= by
+                if _clique_pack(rows, avail & ~(bw | by), 3, k - 1):
+                    return True
+    return False
+
+
 def _copies_through(rows, n: int, count: int, inner: Clique | Fan, u: int, v: int) -> bool:
-    """Whether count disjoint copies of a clique (of at least 2 vertices) or
-    a fan exist with one copy mapping a pattern edge to the host edge uv:
-    each such copy, taken once per vertex set, is completed by count-1 more
-    copies outside it."""
-    if isinstance(inner, Clique):
-        firsts = (
-            (u, v) + rest
-            for rest in _cliques_iter(rows, rows[u] & rows[v], inner.size - 2, 0)
-        )
-    else:
-        firsts = _fans_through(rows, inner, u, v)
-    embed, pat = _copies_kernel(inner)
-    p = pattern_order(inner)
+    """Whether count disjoint copies of a clique (of at least 3 vertices) or
+    a fan exist with one copy mapping a pattern edge to the host edge uv.
+    A clique copy through uv is u, v and a K_{m-2} of their common
+    neighbors (for K3 one common neighbor w), completed by count-1 more
+    copies outside it (_clique_pack). A fan copy through uv (_fans_through),
+    taken once per vertex set, is completed by a packing of count-1 more."""
     full = (1 << n) - 1
+    if isinstance(inner, Clique):
+        m = inner.size
+        outside = full & ~(1 << u | 1 << v)
+        common = rows[u] & rows[v]
+        if m == 3:
+            while common:
+                bw = common & -common
+                if _clique_pack(rows, outside ^ bw, 3, count - 1):
+                    return True
+                common ^= bw
+            return False
+        return any(
+            _clique_pack(rows, outside & ~mask_of(rest), m, count - 1)
+            for rest in _cliques_iter(rows, common, m - 2, 0)
+        )
+    p = pattern_order(inner)
     seen = set()
-    for emb in firsts:
+    for emb in _fans_through(rows, inner, u, v):
         used = mask_of(emb)
         if used in seen:
             continue
         seen.add(used)
-        rest = _packings(rows, full & ~used, embed, pat, p, count - 1)
-        if next(rest, None) is not None:
+        if next(_packings(rows, full & ~used, _fans_iter, inner, p, count - 1), None) is not None:
             return True
     return False
 

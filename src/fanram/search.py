@@ -99,9 +99,11 @@ from .patterns import (
     Fan,
     Matching,
     TargetPattern,
+    _clique_pack,
     _clique_search,
     _contains_rows,
     _copies_through,
+    _fan_starts,
     _fans_through,
     _kernel_form,
     _matching_at_least,
@@ -178,13 +180,16 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
     target is in kernel form (_as_pattern), so F:t,1 arrives as K_{t+1}, M:1
     as K2 and sK2 as M:s. Cliques need K_{m-2} in the common neighborhood
     (for K3 a common neighbor, for K4 an edge among the common neighbors).
-    Fans need a center in {u, v} or the common neighborhood (_fans_through).
-    For t = 2 the blades are a matching, and every center is anchored at
-    its blade through a common neighbor w: a center u can only gain a fan
-    in which uv is a spoke and {v, w} a blade, so it needs n-1 disjoint
-    edges in N(u) - {v, w} (v the same, with u and v swapped); a center w
-    can only gain one in which uv is a blade, so it needs n-1 disjoint
-    edges in N(w) - {u, v}. For F:2,2 each is a one-edge scan.
+    Fans need a center in {u, v} or the common neighborhood and a blade
+    through uv (patterns._fan_starts). For t >= 3 the other n-1 blades are
+    n-1 disjoint K_t in the center's neighborhood without that blade, which
+    _clique_pack decides; for t = 1 they are n-1 more neighbors
+    (_fans_through). For t = 2 the blades are a matching, and every center
+    is anchored at its blade through a common neighbor w: a center u can
+    only gain a fan in which uv is a spoke and {v, w} a blade, so it needs
+    n-1 disjoint edges in N(u) - {v, w} (v the same, with u and v swapped);
+    a center w can only gain one in which uv is a blade, so it needs n-1
+    disjoint edges in N(w) - {u, v}. For F:2,2 each is a one-edge scan.
     M:s needs s-1 disjoint edges avoiding u and v. Up to three disjoint
     edges are found without blossom (_matching_at_least), so M:s with
     s <= 4 and F:2,n with n <= 4 run none here: edges that pairwise meet
@@ -192,8 +197,10 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
     non-isolated vertex x (swap in xw for the edge at a neighbor w), so
     three disjoint edges are two avoiding x and one of its neighbors.
     Copies of a clique or fan need one copy through uv and count-1 more
-    outside it. Explicit patterns and their copies fall back to a full
-    check, which is equally sound.
+    outside it: for K_m, u, v and a K_{m-2} of common neighbors (for K3 one
+    common neighbor), then count-1 disjoint K_m outside them (_clique_pack).
+    Explicit patterns and their copies fall back to a full check, which is
+    equally sound.
     """
     if isinstance(target, Clique):
         m = target.size
@@ -229,13 +236,18 @@ def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> boo
                     return True
                 common ^= bw
             return False
+        if target.t >= 3:
+            for _, _, left in _fan_starts(rows, target, u, v):
+                if _clique_pack(rows, left, target.t, target.n - 1):
+                    return True
+            return False
         return next(_fans_through(rows, target, u, v), None) is not None
     if isinstance(target, Matching):
         avoid = ((1 << n) - 1) & ~(1 << u | 1 << v)
         return _matching_at_least(rows, avoid, target.size - 1)
     if isinstance(target, Copies):
         inner = target.inner
-        if isinstance(inner, Fan) or (isinstance(inner, Clique) and inner.size >= 2):
+        if isinstance(inner, Fan) or (isinstance(inner, Clique) and inner.size >= 3):
             return _copies_through(rows, n, target.count, inner, u, v)
     return _contains_rows(rows, n, target) is not None
 

@@ -127,6 +127,38 @@ def oracle_max_matching_recursive(g: Graph) -> int:
     return best(0, 0)
 
 
+def oracle_clique_packing(g: Graph, m: int, k: int, avail=None, through=()) -> bool:
+    """Whether k disjoint m-cliques lie within the vertex set avail (all of
+    g by default), one of them holding every vertex of through: networkx
+    lists the cliques, and a search picks them in list order, each from
+    those disjoint from the ones already picked, while they still cover
+    enough vertices."""
+    keep = set(range(g.order) if avail is None else avail)
+    cliques = []
+    for c in nx.enumerate_all_cliques(to_nx(g).subgraph(keep)):  # by size
+        if len(c) > m:
+            break
+        if len(c) == m:
+            cliques.append(frozenset(c))
+
+    def pick(cands: list, left: int) -> bool:
+        if left == 0:
+            return True
+        if len(frozenset().union(*cands)) < m * left:
+            return False
+        return any(
+            pick([d for d in cands[j + 1:] if not c & d], left - 1)
+            for j, c in enumerate(cands)
+        )
+
+    if not through:
+        return pick(cliques, k)
+    return any(
+        pick([d for d in cliques if not c & d], k - 1)
+        for c in cliques if set(through) <= c
+    )
+
+
 def oracle_chromatic(g: Graph) -> int:
     if g.order == 0:
         return 0

@@ -7,7 +7,15 @@ import pytest
 
 import fanram.cache as cache_module
 import fanram.cli as cli_module
-from fanram.cache import TOOL_VERSION, ResultRecord, cache_lookup, cache_store
+from fanram.cache import (
+    TOOL_VERSION,
+    ResultRecord,
+    _key_head,
+    cache_lookup,
+    cache_store,
+    load_records,
+    record_to_obj,
+)
 from fanram.cli import main
 from fanram.colorings import check_free, load_certificate, thm17_construction
 from fanram.graph6 import decode
@@ -945,6 +953,39 @@ def test_cache_newest_match_wins_with_keys_interleaved(tmp_path):
     for key in keys:
         assert cache_lookup(cache, *key).artifact == {"round": 2}
     assert cache_lookup(cache, "ramsey", "K3", "K4", {"lo": 1, "hi": 9}) is None
+
+
+
+def test_cache_lookup_parses_the_lines_a_split_would(tmp_path, capsys):
+    # a lookup finds the lines it parses in place; the records and the
+    # warnings, with their line numbers, are those of splitting the file,
+    # whichever line ends it uses
+    key = ("ramsey", "K3", "K3", {"lo": 1, "hi": 9})
+    other = ("ramsey", "K3", "K3", {"lo": 1, "hi": 10})
+
+    def line(k, n, **dumps):
+        return json.dumps(record_to_obj(ResultRecord(*k, None, {"n": n})), **dumps)
+
+    compact = {"separators": (",", ":")}
+    lines = [
+        line(other, 0, **compact), line(key, 1, **compact), "", line(other, 0, **compact),
+        line(key, 2), "{damaged", line(other, 0, **compact)[:60], "  ",
+        line(key, 0, **compact)[:100], line(other, 0, **compact), line(key, 3, **compact),
+    ]
+    text = "\n".join(lines)
+    for body in (text, text + "\n", text.replace("\n", "\r\n"), text.replace("\n", "\r")):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(body.encode())
+        records = load_records(cache, _key_head(*key))
+        assert [rec.artifact for rec in records] == [{"n": 1}, {"n": 2}, {"n": 3}]
+        assert capsys.readouterr().err == (
+            "warning: cache line 6 skipped: Expecting property name enclosed in double"
+            " quotes: line 1 column 2 (char 1)\n"
+            "warning: cache line 9 skipped: Unterminated string starting at: line 1"
+            " column 93 (char 92)\n"
+        )
+        assert cache_lookup(cache, *key).artifact == {"n": 3}
+        capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

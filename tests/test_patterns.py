@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fanram.colorings import lemma27_construction
 from fanram.errors import BadParam, ParseError
 from fanram.graphs import (
+    bits,
     complete,
     complete_multipartite,
     copies as graph_copies,
@@ -31,8 +32,10 @@ from fanram.patterns import (
     Matching,
     _blossom,
     _kernel_form,
+    _clique_pack,
     _clique_search,
     _cliques_iter,
+    _copies_through,
     _fans_iter,
     _fans_through,
     _matching_at_least,
@@ -55,6 +58,7 @@ from fanram.patterns import (
 from conftest import (
     corpus,
     cycle_graph,
+    oracle_clique_packing,
     oracle_contains,
     oracle_max_matching,
     oracle_max_matching_recursive,
@@ -697,3 +701,38 @@ def test_copies_of_k2_run_the_matching_kernel():
     assert contains_target(g, Matching(11)) is None
     w = contains_target(g, parse_target("10xK2"))
     assert w is not None and witness_valid(g, parse_target("10xK2"), w)
+
+
+def test_clique_pack_and_copies_through_match_a_brute_force():
+    # k disjoint K_m (m = 3, 4, 5; k = 2-4) within a random vertex set, and
+    # k disjoint K_m one of which holds a random edge uv, against networkx
+    rng = random.Random(23)
+    answers = {True: 0, False: 0}
+    for _ in range(2000):
+        order = rng.randrange(4, 17)
+        g = random_graph(rng, order, rng.uniform(0.4, 0.95))
+        m, k = rng.choice((3, 4, 5)), rng.randrange(2, 5)
+        avail = (1 << order) - 1
+        if rng.random() < 0.3:
+            avail &= rng.getrandbits(order)
+        got = _clique_pack(g.rows, avail, m, k)
+        assert got == oracle_clique_packing(g, m, k, bits(avail)), (g.edges(), avail, m, k)
+        answers[got] += avail.bit_count() >= m * k
+        if g.edges():
+            u, v = rng.choice(g.edges())
+            got = _copies_through(g.rows, order, k, Clique(m), u, v)
+            assert got == oracle_clique_packing(g, m, k, through=(u, v)), (g.edges(), u, v)
+            answers[got] += order >= m * k
+    assert min(answers.values()) > 300, answers
+
+
+class _Untouchable:
+    def __getitem__(self, v):
+        raise AssertionError("rows read")
+
+
+def test_clique_pack_counts_vertices_before_reading_rows():
+    # fewer than mk vertices hold no k disjoint K_m, and no k = 0 needs none
+    assert not _clique_pack(_Untouchable(), (1 << 8) - 1, 3, 3)
+    assert not _clique_pack(_Untouchable(), 0b1100111, 3, 2)
+    assert _clique_pack(_Untouchable(), 0, 4, 0)

@@ -13,9 +13,12 @@ from fanram.colorings import TwoColoring, check_free, lemma27_construction, thm1
 from fanram.errors import BadParam, BudgetExhausted, OrderCap, PreconditionViolated, RangeError
 from fanram.graph6 import encode
 from fanram.graphs import Graph, complete, from_edges, induced, is_connected
+from fanram import patterns
 from fanram.patterns import (
+    Fan,
     _blossom,
     _contains_rows,
+    _fans_through,
     contains_target,
     parse_target,
     pattern_graph,
@@ -38,6 +41,8 @@ from fanram.search import (
     ramsey_number,
     star_critical,
 )
+
+from conftest import random_graph
 
 
 def _free(order: int, red_edges, red_t: str, blue_t: str) -> bool:
@@ -214,16 +219,26 @@ P3 = "G6:" + encode(from_edges(3, [(0, 1), (1, 2)]))
     ],
 )
 def test_anchored_containment_matches_full_check(target):
-    # seeded random colorings of K9 (or of a complete graph one vertex
-    # larger than the target) built edge by edge: while the class that
-    # receives the edge was free before it, the check anchored at that edge
-    # must agree with the full one
     t = _as_pattern(target)
+    _check_anchored_against_full(t, max(9, pattern_order(t) + 1), 30)
+
+
+@pytest.mark.parametrize(
+    "target", ["2xK3", "3xF:2,1", "4xF:2,1", "2xK4", "F:3,2", "F:3,3", "F:4,2"]
+)
+def test_anchored_containment_matches_full_check_on_k13(target):
+    # the clique packer's targets on the order of the frontier searches
+    _check_anchored_against_full(_as_pattern(target), 13, 30)
+
+
+def _check_anchored_against_full(t, n: int, runs: int) -> None:
+    # seeded random colorings of K_n built edge by edge: while the class
+    # that receives the edge was free before it, the check anchored at that
+    # edge must agree with the full one
     rng = random.Random(11)
-    n = max(9, pattern_order(t) + 1)
     edges = list(combinations(range(n), 2))
     checked = hits = 0
-    for _ in range(30):
+    for _ in range(runs):
         rng.shuffle(edges)
         p_red = rng.random()
         rows = ([0] * n, [0] * n)
@@ -240,6 +255,63 @@ def test_anchored_containment_matches_full_check(target):
                 checked += 1
                 hits += full
     assert 0 < hits < checked
+
+
+def test_anchored_fan_check_matches_fans_through():
+    # for t >= 3 the check packs the other n-1 blades with _clique_pack
+    # after each start; it must answer as the embedding generator does
+    rng = random.Random(29)
+    answers = Counter()
+    for _ in range(2000):
+        order = rng.randrange(4, 17)
+        g = random_graph(rng, order, rng.uniform(0.4, 0.95))
+        if not g.edges():
+            continue
+        u, v = rng.choice(g.edges())
+        for fan in (Fan(t, n) for t in (3, 4) for n in (1, 2, 3)):
+            want = next(_fans_through(g.rows, fan, u, v), None) is not None
+            assert _new_containment(g.rows, order, fan, u, v) == want, (g.edges(), fan, u, v)
+            answers[want] += 1
+    assert min(answers.values()) > 1000, answers
+
+
+def test_anchored_clique_checks_avoid_the_generic_packer(monkeypatch):
+    # copies of K3 and the blades of F:3,2 are packed by _clique_pack;
+    # with the witness path's packing generator, blade packer and greedy
+    # bound made to raise, every answer stays the same
+    rng = random.Random(31)
+    cases = []
+    for _ in range(300):
+        order = rng.randrange(6, 15)
+        g = random_graph(rng, order, rng.uniform(0.4, 0.95))
+        if g.edges():
+            u, v = rng.choice(g.edges())
+            for target in ("2xK3", "3xK3", "F:3,2"):
+                t = _as_pattern(target)
+                cases.append((g.rows, order, t, u, v, _new_containment(g.rows, order, t, u, v)))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("generic packing path")
+
+    for name in ("_packings", "_blades", "_greedy_bound"):
+        monkeypatch.setattr(patterns, name, boom)
+    assert [_new_containment(*case[:5]) for case in cases] == [case[5] for case in cases]
+    assert Counter(case[5] for case in cases).keys() == {True, False}
+
+
+@pytest.mark.parametrize(
+    "blue, order, budget, stats",
+    [
+        ("F:3,2", 13, 4000, (4001, 719, 852, 243, 336)),
+        ("3xF:2,1", 11, 100000, (100001, 20241, 26272, 2108, 2734)),
+    ],
+)
+def test_clique_packs_keep_the_search_counts(blue, order, budget, stats):
+    # the anchored copies and fan checks answer as before, so the DFS takes
+    # the same decisions: node and prune counts are pinned
+    res = ramsey_number("K3", blue, order, order, SearchConfig(node_budget=budget))
+    assert res.status == "budget_exhausted"
+    assert res.stats == SearchStats(*stats)
 
 
 def _count_anchored_blossoms(monkeypatch) -> list[int]:

@@ -63,6 +63,25 @@ def test_tracer_counts_anchored_matching_checks(capsys):
     assert tracer.snapshot()["patterns.anchored.matching.calls"] > 0
 
 
+
+def test_tracer_counts_anchored_clique_packings(capsys):
+    # the F:t,n (t >= 3) and copies checks pack their cliques behind
+    # search._new_containment, so the fan and other rollups see them
+    modules = {name: importlib.import_module(f"fanram.{name}") for name in MODULES}
+    for blue, bounds, code, rollup in (
+        ("F:3,2", ["--lo", "13", "--hi", "13", "--budget", "4000"], 2, "fan"),
+        ("2xF:2,1", ["--lo", "1", "--hi", "12"], 0, "other"),
+    ):
+        tracer = _load_tracing().Tracer(modules)
+        tracer.install()
+        try:
+            assert modules["cli"].main(["ramsey", "--red", "K3", "--blue", blue, *bounds]) == code
+            capsys.readouterr()
+        finally:
+            tracer.uninstall()
+        assert tracer.snapshot()[f"patterns.anchored.{rollup}.calls"] > 0, blue
+
+
 def test_tracer_counts_cache_records_parsed(tmp_path, capsys):
     # cache.records_parsed counts calls of cache.record_from_obj made
     # through its module global; a local binding would leave it at zero
