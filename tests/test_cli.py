@@ -955,7 +955,6 @@ def test_cache_newest_match_wins_with_keys_interleaved(tmp_path):
     assert cache_lookup(cache, "ramsey", "K3", "K4", {"lo": 1, "hi": 9}) is None
 
 
-
 def test_cache_lookup_parses_the_lines_a_split_would(tmp_path, capsys):
     # a lookup finds the lines it parses in place; the records and the
     # warnings, with their line numbers, are those of splitting the file,

@@ -732,7 +732,8 @@ class _Untouchable:
 
 
 def test_clique_pack_counts_vertices_before_reading_rows():
-    # fewer than mk vertices hold no k disjoint K_m, and no k = 0 needs none
+    # fewer than mk vertices hold no k disjoint K_m, and k = 0 copies need
+    # no vertex: neither answer reads a row
     assert not _clique_pack(_Untouchable(), (1 << 8) - 1, 3, 3)
     assert not _clique_pack(_Untouchable(), 0b1100111, 3, 2)
     assert _clique_pack(_Untouchable(), 0, 4, 0)

@@ -63,7 +63,6 @@ def test_tracer_counts_anchored_matching_checks(capsys):
     assert tracer.snapshot()["patterns.anchored.matching.calls"] > 0
 
 
-
 def test_tracer_counts_anchored_clique_packings(capsys):
     # the F:t,n (t >= 3) and copies checks pack their cliques behind
     # search._new_containment, so the fan and other rollups see them
