@@ -376,6 +376,8 @@ def closed_formula(formula_id: str, params: Mapping[str, int]) -> BoundReport:
 
     Out-of-range parameters are never an error: the report's validity flag is
     simply unsatisfied, so conjecture probing on shifted parameters works.
+    A parameter that is not an int (a bool, a float, a string) raises
+    BadParam.
     """
     if formula_id not in _REGISTRY:
         raise UnknownFormula(f"unknown formula id {formula_id!r}")
@@ -383,7 +385,10 @@ def closed_formula(formula_id: str, params: Mapping[str, int]) -> BoundReport:
     missing = [name for name in entry.params if name not in params]
     if missing:
         raise MissingParam(f"{formula_id} needs parameters: {', '.join(missing)}")
-    p = {name: int(params[name]) for name in entry.params}
+    p = {name: params[name] for name in entry.params}
+    for name, value in p.items():
+        if type(value) is not int:
+            raise BadParam(f"{formula_id} parameter {name} must be an integer, got {value!r}")
     return BoundReport(
         formula_id=formula_id,
         params=p,

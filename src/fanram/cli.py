@@ -18,7 +18,7 @@ from dataclasses import asdict
 from functools import cache
 
 from . import bounds, io, patterns, search
-from .cache import ResultRecord, cache_lookup, cache_store, load_records, warn
+from .cache import ResultRecord, cache_lookup, cache_store, load_records, record_to_obj, warn
 from .colorings import (
     Certificate,
     burr_coloring,
@@ -199,10 +199,10 @@ def _cmd_check_free(args) -> int:
         )
     cert = check_free(coloring, red, blue)
     doc = _report("check-free", file=args.file, certificate=certificate_obj(cert))
-    _emit(doc)
     cache_file = _cache_path(args)
     if cache_file:
         _store_certificate(cache_file, doc)
+    _emit(doc)
     return 0 if cert.valid else 1
 
 
@@ -302,11 +302,11 @@ def _cmd_search(args) -> int:
         witness = certificate_obj(check_free(result.witness, red, blue))
     doc = _search_report(command, red, blue, params, result.value, result.status, witness,
                          asdict(result.stats), [_cap_obj(cap) for cap in result.caps])
-    _emit(doc)
     # a value without a witness (r = 1, or a star value of 0) could never
     # pass _backs on replay, so it is not stored
     if cache_file and result.status == "exact" and witness is not None:
         cache_store(cache_file, ResultRecord(command, red, blue, params, result.value, doc))
+    _emit(doc)
     # a search ends exact, with a value, or with its budget exhausted
     return 0 if result.status == "exact" else 2
 
@@ -314,17 +314,7 @@ def _cmd_search(args) -> int:
 def _cmd_packing_check(args) -> int:
     cfg = _search_config(args)
     rep = search.packing_property_check(args.t, args.n, args.trials, cfg)
-    doc = _report(
-        "packing-check",
-        t=rep.t,
-        n=rep.n,
-        trials=rep.trials,
-        seed=rep.seed,
-        min_degree_floor=rep.min_degree_floor,
-        failures=list(rep.failures),
-        ok=rep.ok,
-    )
-    _emit(doc)
+    _emit(_report("packing-check", **asdict(rep), ok=rep.ok))
     return 0 if rep.ok else 1
 
 
@@ -338,14 +328,7 @@ def _cmd_cache(args) -> int:
     for rec in records:
         by_kind[rec.kind] = by_kind.get(rec.kind, 0) + 1
         entries.append(
-            {
-                "kind": rec.kind,
-                "red_target": rec.red_target,
-                "blue_target": rec.blue_target,
-                "params": rec.params,
-                "value": rec.value,
-                "tool_version": rec.tool_version,
-            }
+            {k: v for k, v in record_to_obj(rec).items() if k not in ("artifact", "timestamp")}
         )
     doc = _report(
         "cache", path=path, records=len(records), by_kind=by_kind, entries=entries

@@ -37,22 +37,9 @@ below n is skipped too, all before its packings are tried. Disjoint copies
 are a packing of the inner pattern, searched one connected component at a
 time.
 
-The coloring search also uses anchored kernels, which ask only whether an
-embedding maps a pattern edge to a given host edge uv. Their clique
-packings come from one yes/no packer, _clique_pack, which decides on the
-lowest vertex left whether it lies in a copy and builds no generator for
-triangles. A fan through uv is a center and a blade from _fan_starts;
-for t >= 3 the other n-1 blades are n-1 disjoint K_t left in the
-center's neighborhood (_clique_pack; search._new_containment), and
-_fans_through, which yields the embeddings, packs them with _blades.
-_copies_through completes a clique copy through uv (u, v and a K_{m-2} of
-common neighbors) with _clique_pack outside it, and a fan copy through uv
-with a packing of fans. F:2,n needs no packing there: when edge uv is
-added, every new fan has a blade through a common neighbor w of u and v. A
-center u (or v) has uv as a spoke and {v, w} (or {u, w}) as a blade, and w
-as a center has uv as a blade; either way n-1 disjoint edges must remain
-in the center's neighborhood without those two vertices
-(search._new_containment).
+The coloring search asks a narrower question after each edge it colors:
+_new_containment, the anchored check, answers yes or no from kernels of
+its own.
 """
 
 from __future__ import annotations
@@ -453,41 +440,6 @@ def _clique_pack(rows, avail: int, m: int, k: int) -> bool:
     return False
 
 
-def _copies_through(rows, n: int, count: int, inner: Clique | Fan, u: int, v: int) -> bool:
-    """Whether count disjoint copies of a clique (of at least 3 vertices) or
-    a fan exist with one copy mapping a pattern edge to the host edge uv.
-    A clique copy through uv is u, v and a K_{m-2} of their common
-    neighbors (for K3 one common neighbor w), completed by count-1 more
-    copies outside it (_clique_pack). A fan copy through uv (_fans_through),
-    taken once per vertex set, is completed by a packing of count-1 more."""
-    full = (1 << n) - 1
-    if isinstance(inner, Clique):
-        m = inner.size
-        outside = full & ~(1 << u | 1 << v)
-        common = rows[u] & rows[v]
-        if m == 3:
-            while common:
-                bw = common & -common
-                if _clique_pack(rows, outside ^ bw, 3, count - 1):
-                    return True
-                common ^= bw
-            return False
-        return any(
-            _clique_pack(rows, outside & ~mask_of(rest), m, count - 1)
-            for rest in _cliques_iter(rows, common, m - 2, 0)
-        )
-    p = pattern_order(inner)
-    seen = set()
-    for emb in _fans_through(rows, inner, u, v):
-        used = mask_of(emb)
-        if used in seen:
-            continue
-        seen.add(used)
-        if next(_packings(rows, full & ~used, _fans_iter, inner, p, count - 1), None) is not None:
-            return True
-    return False
-
-
 def _embed_iter(rows, avail: int, pat: Graph, low: int) -> Iterator[tuple[int, ...]]:
     """All injective maps of pat into the host (subgraph, not induced),
     restricted to avail, pattern vertices mapped in label order and vertex 0
@@ -727,6 +679,129 @@ def _blossom(rows, n: int, limit: int | None = None) -> tuple[list[int], int]:
         else:
             untried -= 1
     return match, size
+
+
+# ---------------------------------------------------------------------------
+# the anchored check of the coloring search
+# ---------------------------------------------------------------------------
+
+
+def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> bool:
+    """Whether the color class rows holds the target right after edge uv
+    was added to it.
+
+    The coloring search calls this after each edge it colors, on the class
+    that received it. Every earlier partial coloring was checked, so the
+    class without uv was target-free and any embedding now maps a pattern
+    edge to uv: each kind is looked for through uv only. The target is in
+    kernel form (_kernel_form), so F:t,1 arrives as K_{t+1}, M:1 as K2 and
+    sK2 as M:s.
+
+    K_m: a K_{m-2} in the common neighborhood of u and v (for K3 a common
+    neighbor, for K4 an edge among the common neighbors).
+
+    F:t,n: a center in {u, v} or the common neighborhood and a blade through
+    uv (_fan_starts), then n-1 more blades in the center's neighborhood
+    without it. For t = 1 the center is u or v (_fan_starts with no common
+    neighbor as a center) and the blade the other end, so the star is there
+    when u or v has n or more neighbors. For t >= 3 the blades are n-1
+    disjoint K_t, which _clique_pack decides. For t = 2 they are a matching,
+    and every center is anchored at its blade through a common neighbor w:
+    a center u can only gain a fan in which uv is a spoke and {v, w} a
+    blade, so it needs n-1 disjoint edges in N(u) - {v, w} (v the same, with
+    u and v swapped); a center w can only gain one in which uv is a blade,
+    so it needs n-1 disjoint edges in N(w) - {u, v}. For F:2,2 each is a
+    one-edge scan.
+
+    M:s: s-1 disjoint edges avoiding u and v. Up to three disjoint edges
+    are found without blossom (_matching_at_least), so M:s with s <= 4 and
+    F:2,n with n <= 4 run none here.
+
+    Copies of K_m (m >= 3): a copy through uv is u, v and a K_{m-2} of their
+    common neighbors (for K3 one common neighbor), and count-1 disjoint K_m
+    must fit outside it (_clique_pack). Copies of a fan: each fan through uv
+    (_fans_through), taken once per vertex set, completed by a packing of
+    count-1 more fans outside it.
+
+    Explicit patterns and their copies fall back to the full check, which
+    is equally sound.
+    """
+    if isinstance(target, Clique):
+        m = target.size
+        if m <= 2:
+            return True
+        common = rows[u] & rows[v]
+        if m == 3:
+            return common != 0
+        if m == 4:
+            rest = common
+            while rest:
+                low = rest & -rest
+                if rows[low.bit_length() - 1] & common:
+                    return True
+                rest ^= low
+            return False
+        return _clique_search(rows, common, m - 2) is not None
+    if isinstance(target, Fan):
+        if target.t == 2:
+            # F:2,n centered at c is n disjoint edges in N(c); uv joins one
+            # only through a common neighbor w, as the spoke to blade {v, w}
+            # of center u (or {u, w} of center v) or as the blade of center w
+            k = target.n - 1
+            bu, bv = 1 << u, 1 << v
+            common = rows[u] & rows[v]
+            while common:
+                bw = common & -common
+                if (
+                    _matching_at_least(rows, rows[u] & ~(bv | bw), k)
+                    or _matching_at_least(rows, rows[v] & ~(bu | bw), k)
+                    or _matching_at_least(rows, rows[bw.bit_length() - 1] & ~(bu | bv), k)
+                ):
+                    return True
+                common ^= bw
+            return False
+        if target.t == 1:
+            return rows[u].bit_count() >= target.n or rows[v].bit_count() >= target.n
+        for _, _, left in _fan_starts(rows, target, u, v):
+            if _clique_pack(rows, left, target.t, target.n - 1):
+                return True
+        return False
+    if isinstance(target, Matching):
+        avoid = ((1 << n) - 1) & ~(1 << u | 1 << v)
+        return _matching_at_least(rows, avoid, target.size - 1)
+    if isinstance(target, Copies):
+        count, inner = target.count, target.inner
+        full = (1 << n) - 1
+        if isinstance(inner, Clique) and inner.size >= 3:
+            m = inner.size
+            outside = full & ~(1 << u | 1 << v)
+            common = rows[u] & rows[v]
+            if m == 3:
+                while common:
+                    bw = common & -common
+                    if _clique_pack(rows, outside ^ bw, 3, count - 1):
+                        return True
+                    common ^= bw
+                return False
+            # a loop, not any() over a generator, which would turn rows into
+            # a closure cell and slow every branch of this hot function
+            for rest in _cliques_iter(rows, common, m - 2, 0):
+                if _clique_pack(rows, outside & ~mask_of(rest), m, count - 1):
+                    return True
+            return False
+        if isinstance(inner, Fan):
+            p = pattern_order(inner)
+            seen = set()
+            for emb in _fans_through(rows, inner, u, v):
+                used = mask_of(emb)
+                if used in seen:
+                    continue
+                seen.add(used)
+                packing = _packings(rows, full & ~used, _fans_iter, inner, p, count - 1)
+                if next(packing, None) is not None:
+                    return True
+            return False
+    return _contains_rows(rows, n, target) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,8 @@ computation, and the randomized minimum-degree packing harness.
 Both searches run on one engine, _color_slots: an explicit-stack DFS that
 colors a list of edge slots in order, red branch first, so its depth is
 bounded by memory, not by the interpreter's frame limit. After each slot is
-colored, only containment through that edge is re-checked: every earlier
-partial coloring was verified clean, so any embedding present now must map a
-pattern edge to the new edge. Every kind but explicit patterns is anchored
-there (_new_containment): cliques, fans and disjoint copies are looked for
-only through the edge, and a matching only as one edge fewer in the class
-without its endpoints. The Ramsey search passes the host edges in
+colored, the class that received it is checked through that edge only
+(patterns._new_containment). The Ramsey search passes the host edges in
 lexicographic order and needs every slot colored; the star extension passes
 the star edges (j, w) of a fresh vertex w, lets each slot also stay
 uncolored, and cuts a branch that cannot attach more edges than the best
@@ -99,14 +95,9 @@ from .patterns import (
     Fan,
     Matching,
     TargetPattern,
-    _clique_pack,
-    _clique_search,
     _contains_rows,
-    _copies_through,
-    _fan_starts,
-    _fans_through,
     _kernel_form,
-    _matching_at_least,
+    _new_containment,
     copies_pattern,
     kt_packing,
     normalize_pattern,
@@ -170,86 +161,6 @@ class SearchResult:
 def _as_pattern(t: TargetPattern | str) -> TargetPattern:
     """The kernel form (patterns._kernel_form) of a target or its spelling."""
     return _kernel_form(normalize_pattern(parse_target(t) if isinstance(t, str) else t))
-
-
-def _new_containment(rows, n: int, target: TargetPattern, u: int, v: int) -> bool:
-    """Containment check on one color class right after edge (u, v) was added.
-
-    Assumes the class without that edge was target-free, so any embedding
-    now maps a pattern edge to uv and detection is anchored there. The
-    target is in kernel form (_as_pattern), so F:t,1 arrives as K_{t+1}, M:1
-    as K2 and sK2 as M:s. Cliques need K_{m-2} in the common neighborhood
-    (for K3 a common neighbor, for K4 an edge among the common neighbors).
-    Fans need a center in {u, v} or the common neighborhood and a blade
-    through uv (patterns._fan_starts). For t >= 3 the other n-1 blades are
-    n-1 disjoint K_t in the center's neighborhood without that blade, which
-    _clique_pack decides; for t = 1 they are n-1 more neighbors
-    (_fans_through). For t = 2 the blades are a matching, and every center
-    is anchored at its blade through a common neighbor w: a center u can
-    only gain a fan in which uv is a spoke and {v, w} a blade, so it needs
-    n-1 disjoint edges in N(u) - {v, w} (v the same, with u and v swapped);
-    a center w can only gain one in which uv is a blade, so it needs n-1
-    disjoint edges in N(w) - {u, v}. For F:2,2 each is a one-edge scan.
-    M:s needs s-1 disjoint edges avoiding u and v. Up to three disjoint
-    edges are found without blossom (_matching_at_least), so M:s with
-    s <= 4 and F:2,n with n <= 4 run none here: edges that pairwise meet
-    form a star or a triangle, and some maximum matching covers any given
-    non-isolated vertex x (swap in xw for the edge at a neighbor w), so
-    three disjoint edges are two avoiding x and one of its neighbors.
-    Copies of a clique or fan need one copy through uv and count-1 more
-    outside it: for K_m, u, v and a K_{m-2} of common neighbors (for K3 one
-    common neighbor), then count-1 disjoint K_m outside them (_clique_pack).
-    Explicit patterns and their copies fall back to a full check, which is
-    equally sound.
-    """
-    if isinstance(target, Clique):
-        m = target.size
-        if m <= 2:
-            return True
-        common = rows[u] & rows[v]
-        if m == 3:
-            return common != 0
-        if m == 4:
-            rest = common
-            while rest:
-                low = rest & -rest
-                if rows[low.bit_length() - 1] & common:
-                    return True
-                rest ^= low
-            return False
-        return _clique_search(rows, common, m - 2) is not None
-    if isinstance(target, Fan):
-        if target.t == 2:
-            # F:2,n centered at c is n disjoint edges in N(c); uv joins one
-            # only through a common neighbor w, as the spoke to blade {v, w}
-            # of center u (or {u, w} of center v) or as the blade of center w
-            k = target.n - 1
-            bu, bv = 1 << u, 1 << v
-            common = rows[u] & rows[v]
-            while common:
-                bw = common & -common
-                if (
-                    _matching_at_least(rows, rows[u] & ~(bv | bw), k)
-                    or _matching_at_least(rows, rows[v] & ~(bu | bw), k)
-                    or _matching_at_least(rows, rows[bw.bit_length() - 1] & ~(bu | bv), k)
-                ):
-                    return True
-                common ^= bw
-            return False
-        if target.t >= 3:
-            for _, _, left in _fan_starts(rows, target, u, v):
-                if _clique_pack(rows, left, target.t, target.n - 1):
-                    return True
-            return False
-        return next(_fans_through(rows, target, u, v), None) is not None
-    if isinstance(target, Matching):
-        avoid = ((1 << n) - 1) & ~(1 << u | 1 << v)
-        return _matching_at_least(rows, avoid, target.size - 1)
-    if isinstance(target, Copies):
-        inner = target.inner
-        if isinstance(inner, Fan) or (isinstance(inner, Clique) and inner.size >= 3):
-            return _copies_through(rows, n, target.count, inner, u, v)
-    return _contains_rows(rows, n, target) is not None
 
 
 def _iso_allows(rows_red, split: int, u: int, v: int) -> bool:

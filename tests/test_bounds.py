@@ -319,6 +319,11 @@ def test_formula_errors():
         closed_formula("lem2.7", {"s": 2})
     msg = str(exc.value)
     assert "t" in msg and "n" in msg
+    # a parameter is an int or an error, never coerced: 2.5 is not read as 2
+    for value in ("x", 2.5, True):
+        with pytest.raises(BadParam) as exc:
+            closed_formula("thm1.4", {"n": value})
+        assert "thm1.4" in str(exc.value) and "parameter n" in str(exc.value)
 
 
 def test_sandwich_property():

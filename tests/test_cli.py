@@ -602,6 +602,22 @@ def test_cache_check_free_checks_once_on_a_miss_and_on_a_hit(tmp_path, capsys, m
     assert len(cache.read_text().splitlines()) == 1
 
 
+def test_unusable_cache_leaves_no_report(tmp_path, capsys, monkeypatch):
+    # the cache is written before the report is printed, so a cache error
+    # exits 2 with nothing on stdout: check-free with a directory as its
+    # cache, and a search whose store fails
+    f = _lemma27_file(tmp_path, capsys)
+    code, out, err = run(capsys, "check-free", "--file", str(f), "--cache", str(tmp_path))
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+    def refuse(*args):
+        raise OSError("cache is read-only")
+
+    monkeypatch.setattr(cli_module, "cache_store", refuse)
+    code, out, err = run(capsys, *M2_F21, "--cache", str(tmp_path / "cache.jsonl"))
+    assert (code, out, err) == (2, "", "error: cache is read-only\n")
+
+
 @pytest.mark.parametrize("field, value", [
     ("status", "budget_exhausted"),
     ("command", "star"),

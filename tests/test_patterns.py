@@ -35,10 +35,10 @@ from fanram.patterns import (
     _clique_pack,
     _clique_search,
     _cliques_iter,
-    _copies_through,
     _fans_iter,
     _fans_through,
     _matching_at_least,
+    _new_containment,
     clique_number,
     contains_clique,
     contains_copies,
@@ -705,7 +705,8 @@ def test_copies_of_k2_run_the_matching_kernel():
 
 def test_clique_pack_and_copies_through_match_a_brute_force():
     # k disjoint K_m (m = 3, 4, 5; k = 2-4) within a random vertex set, and
-    # k disjoint K_m one of which holds a random edge uv, against networkx
+    # k disjoint K_m one of which holds a random edge uv (the anchored check
+    # of kxK_m), against networkx
     rng = random.Random(23)
     answers = {True: 0, False: 0}
     for _ in range(2000):
@@ -720,7 +721,7 @@ def test_clique_pack_and_copies_through_match_a_brute_force():
         answers[got] += avail.bit_count() >= m * k
         if g.edges():
             u, v = rng.choice(g.edges())
-            got = _copies_through(g.rows, order, k, Clique(m), u, v)
+            got = _new_containment(g.rows, order, copies_pattern(k, Clique(m)), u, v)
             assert got == oracle_clique_packing(g, m, k, through=(u, v)), (g.edges(), u, v)
             answers[got] += order >= m * k
     assert min(answers.values()) > 300, answers

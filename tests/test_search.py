@@ -259,7 +259,8 @@ def _check_anchored_against_full(t, n: int, runs: int) -> None:
 
 def test_anchored_fan_check_matches_fans_through():
     # for t >= 3 the check packs the other n-1 blades with _clique_pack
-    # after each start; it must answer as the embedding generator does
+    # after each start, and for t = 1 it reads two degrees; it must answer
+    # as the embedding generator does
     rng = random.Random(29)
     answers = Counter()
     for _ in range(2000):
@@ -268,7 +269,8 @@ def test_anchored_fan_check_matches_fans_through():
         if not g.edges():
             continue
         u, v = rng.choice(g.edges())
-        for fan in (Fan(t, n) for t in (3, 4) for n in (1, 2, 3)):
+        fans = [Fan(t, n) for t in (3, 4) for n in (1, 2, 3)] + [Fan(1, n) for n in (2, 3, 4)]
+        for fan in fans:
             want = next(_fans_through(g.rows, fan, u, v), None) is not None
             assert _new_containment(g.rows, order, fan, u, v) == want, (g.edges(), fan, u, v)
             answers[want] += 1
@@ -276,9 +278,10 @@ def test_anchored_fan_check_matches_fans_through():
 
 
 def test_anchored_clique_checks_avoid_the_generic_packer(monkeypatch):
-    # copies of K3 and the blades of F:3,2 are packed by _clique_pack;
-    # with the witness path's packing generator, blade packer and greedy
-    # bound made to raise, every answer stays the same
+    # copies of K3 and the blades of F:3,2 are packed by _clique_pack, and
+    # a star F:1,3 needs no blades at all; with the witness path's packing
+    # generator, blade packer and greedy bound made to raise, every answer
+    # stays the same
     rng = random.Random(31)
     cases = []
     for _ in range(300):
@@ -286,7 +289,7 @@ def test_anchored_clique_checks_avoid_the_generic_packer(monkeypatch):
         g = random_graph(rng, order, rng.uniform(0.4, 0.95))
         if g.edges():
             u, v = rng.choice(g.edges())
-            for target in ("2xK3", "3xK3", "F:3,2"):
+            for target in ("2xK3", "3xK3", "F:3,2", "F:1,3"):
                 t = _as_pattern(target)
                 cases.append((g.rows, order, t, u, v, _new_containment(g.rows, order, t, u, v)))
 
