@@ -6,10 +6,10 @@ checker samples random graphs meeting the degree floor and looks for
 a counterexample.
 """
 
-from fanram import SearchConfig, packing_property_check
+from fanram import packing_property_check
 
 for t, n in [(2, 4), (2, 5), (3, 3), (3, 4)]:
-    report = packing_property_check(t, n, trials=100, config=SearchConfig(seed=7))
+    report = packing_property_check(t, n, trials=100, seed=7)
     verdict = "ok" if report.ok else f"FAILED on {len(report.failures)} graphs"
     print(
         f"t={t} n={n}: order {t * n}, degree floor {report.min_degree_floor}, "

@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from functools import cache
 
 from . import bounds, io, patterns, search
@@ -62,14 +62,29 @@ def _cap_obj(cap: search.DegreeCap) -> dict:
     }
 
 
+_STATS_KEYS = [f.name for f in fields(search.SearchStats)]
+_CAP_KEYS = list(_cap_obj(search.DegreeCap(patterns.Clique(2), patterns.Clique(2), "identity")))
+
+
+def _well_formed(stats, caps) -> bool:
+    """Whether stored stats have SearchStats' fields, in order, as
+    non-negative ints, and stored caps are a list of objects with
+    _cap_obj's keys, in order."""
+    return (
+        isinstance(stats, dict)
+        and list(stats) == _STATS_KEYS
+        and all(type(v) is int and v >= 0 for v in stats.values())
+        and isinstance(caps, list)
+        and all(isinstance(cap, dict) and list(cap) == _CAP_KEYS for cap in caps)
+    )
+
+
 def _search_config(args) -> search.SearchConfig:
     cfg = search.SearchConfig()
     if getattr(args, "budget", None) is not None:
         if args.budget < 0:
             raise UsageError(f"--budget must be at least 0, got {args.budget}")
         cfg.node_budget = args.budget
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
     return cfg
 
 
@@ -108,12 +123,17 @@ def _replay(path: str, kind: str, red: str, blue: str, params: dict) -> dict | N
     its witness as load_certificate re-validates it, its stored stats and
     caps, and status "exact". The stored report must have the rebuilt one's
     fields, in order, with the same JSON types and values; its witness must
-    name this command's targets and back the value (see _backs). Anything
-    else warns and counts as a miss. Stats and caps are replayed as stored."""
+    name this command's targets and back the value (see _backs), and its
+    stats and caps must have the shape a search prints (see _well_formed).
+    Anything else warns and counts as a miss. Well-formed stats and caps are
+    replayed as stored."""
     rec = cache_lookup(path, kind, red, blue, params)
     if rec is None:
         return None
     stored = rec.artifact
+    if not _well_formed(stored.get("stats"), stored.get("caps")):
+        warn(f"cached {kind} record has malformed stats or caps, recomputing")
+        return None
     try:
         cert = load_certificate(json.dumps(stored.get("witness")))
     except CorruptRecord as exc:
@@ -169,8 +189,8 @@ def _cmd_construct(args) -> int:
     cert = None
     if red is not None and blue is not None:
         cert = check_free(coloring, red, blue)
-        metadata["red_target"] = format_target(parse_target(red))
-        metadata["blue_target"] = format_target(parse_target(blue))
+        metadata["red_target"] = format_target(cert.red_target)
+        metadata["blue_target"] = format_target(cert.blue_target)
     if args.out:
         io.save_coloring(args.out, coloring, metadata)
     doc = _report(
@@ -223,7 +243,7 @@ def _store_certificate(path: str, doc: dict) -> None:
 
 def _cmd_detect(args) -> int:
     g = pattern_graph(parse_target(args.graph))
-    target = parse_target(args.target)
+    target = patterns.normalize_pattern(args.target)
     w = patterns.contains_target(g, target)
     doc = _report(
         "detect",
@@ -283,8 +303,9 @@ def _cmd_search(args) -> int:
         params, runner = {"lo": args.lo, "hi": args.hi}, search.ramsey_number
     else:
         params, runner = {"r": args.r}, search.star_critical
-    red = format_target(parse_target(args.red))
-    blue = format_target(parse_target(args.blue))
+    red_t = patterns.normalize_pattern(args.red)
+    blue_t = patterns.normalize_pattern(args.blue)
+    red, blue = format_target(red_t), format_target(blue_t)
     cache_file = _cache_path(args)
     if cache_file:
         doc = _replay(cache_file, command, red, blue, params)
@@ -292,7 +313,7 @@ def _cmd_search(args) -> int:
             _emit(doc)
             return 0
     try:
-        result = runner(args.red, args.blue, *params.values(), cfg)
+        result = runner(red_t, blue_t, *params.values(), cfg)
     except RangeError as exc:
         _emit(_report(command, red=red, blue=blue, **params, value=None,
                       status="no_value_in_range", error=str(exc)))
@@ -312,8 +333,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_packing_check(args) -> int:
-    cfg = _search_config(args)
-    rep = search.packing_property_check(args.t, args.n, args.trials, cfg)
+    rep = search.packing_property_check(args.t, args.n, args.trials, args.seed)
     _emit(_report("packing-check", **asdict(rep), ok=rep.ok))
     return 0 if rep.ok else 1
 
@@ -421,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_packing_check)
 
     p = sub.add_parser("cache", help="summarize a result cache file")

@@ -29,7 +29,7 @@ from .patterns import (
     EmbeddingWitness,
     TargetPattern,
     format_target,
-    parse_target,
+    normalize_pattern,
     witness_valid,
 )
 from . import patterns
@@ -134,8 +134,8 @@ def load_certificate(text: str) -> Certificate:
     try:
         doc = json.loads(text)
         coloring = TwoColoring(decode(doc["host"]), decode(doc["red"]))
-        red_t = parse_target(doc["red_target"])
-        blue_t = parse_target(doc["blue_target"])
+        red_t = normalize_pattern(doc["red_target"])
+        blue_t = normalize_pattern(doc["blue_target"])
     except Exception as exc:  # noqa: BLE001 - any defect is corruption here
         raise CorruptRecord(f"certificate unreadable: {exc}") from exc
     cert = check_free(coloring, red_t, blue_t)
@@ -154,9 +154,11 @@ def check_free(
     The coloring is free exactly when the red graph avoids the red target and
     the blue graph avoids the blue target. Every witness found is
     re-validated against its graph; one that fails raises FanramError.
+    Both targets are read by normalize_pattern, so the certificate names
+    them normalized and refuses what every other entry point refuses.
     """
-    red_t = parse_target(red_target) if isinstance(red_target, str) else red_target
-    blue_t = parse_target(blue_target) if isinstance(blue_target, str) else blue_target
+    red_t = normalize_pattern(red_target)
+    blue_t = normalize_pattern(blue_target)
     rw = patterns.contains_target(coloring.red_graph(), red_t)
     bw = patterns.contains_target(coloring.blue_graph(), blue_t)
     for color, graph, target, w in (

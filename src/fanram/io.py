@@ -13,9 +13,10 @@ from .graph6 import decode, encode
 def render_coloring(coloring: TwoColoring, metadata: dict[str, str] | None = None) -> str:
     lines = [encode(coloring.host), encode(coloring.red_graph())]
     for key, value in (metadata or {}).items():
-        if not key or "=" in key or "\n" in key:
+        # a reader with universal newlines splits at \r as well as \n
+        if not key or "=" in key or "\n" in key or "\r" in key:
             raise ParseError(f"bad metadata key {key!r}", 0)
-        if "\n" in value:
+        if "\n" in value or "\r" in value:
             raise ParseError(f"bad metadata value for {key!r}", 0)
         lines.append(f"{key}={value}")
     return "\n".join(lines) + "\n"
@@ -46,8 +47,10 @@ def save_coloring(
     coloring: TwoColoring,
     metadata: dict[str, str] | None = None,
 ) -> None:
+    # rendered first, so refused metadata leaves an existing file as it was
+    text = render_coloring(coloring, metadata)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(render_coloring(coloring, metadata))
+        fh.write(text)
 
 
 def load_coloring(path: str | os.PathLike) -> tuple[TwoColoring, dict[str, str]]:

@@ -9,6 +9,10 @@ Each kind's shape is stated once: pattern_graph, and _group_sizes, which
 splits a flat embedding (images of pattern_graph's vertices in label order)
 into a witness's groups; witness_valid checks every kind by one rule.
 
+normalize_pattern is the one reader of a target: every entry point parses,
+normalizes and validates its targets there once, and the kernels trust what
+it returns.
+
 One target graph can be spelled several ways: the fan F:t,1 is the clique
 K_{t+1}, M:1 and F:1,1 are K2, and s copies of K2 are M:s. _kernel_form
 alone resolves these to the one form the kernels check; the coloring search
@@ -120,9 +124,24 @@ def copies_pattern(count: int, inner: TargetPattern) -> TargetPattern:
     return Copies(count, inner)
 
 
-def normalize_pattern(p: TargetPattern) -> TargetPattern:
+def normalize_pattern(p: TargetPattern | str) -> TargetPattern:
+    """The one reader of a target: parse a string (parse_target), then
+    normalize copies (copies_pattern: 1xX is X, copies of copies flatten,
+    copies of a matching are a matching) and validate them. The inner
+    pattern of a Copies object, once normalized, must be connected: a
+    matching, copies or a disconnected or empty explicit graph raises
+    BadParam. Every entry point (contains_target, witness_valid,
+    colorings.check_free, the searches, the command line) reads its targets
+    here once; the kernels below trust what it returns."""
+    if isinstance(p, str):
+        p = parse_target(p)
     if isinstance(p, Copies):
-        return copies_pattern(p.count, p.inner)
+        inner = normalize_pattern(p.inner)
+        if isinstance(inner, (Matching, Copies)) or isinstance(inner, Explicit) and (
+            inner.graph.order == 0 or not is_connected(inner.graph)
+        ):
+            raise BadParam("inner pattern of copies must be connected")
+        return copies_pattern(p.count, inner)
     return p
 
 
@@ -181,8 +200,6 @@ def parse_target(text: str) -> TargetPattern:
     mcopy = re.match(r"(\d+)x", s)
     if mcopy:
         count = int(mcopy.group(1))
-        if count == 0:
-            raise BadParam("copy count must be positive")
         i = mcopy.end()
     body = s[i:]
     if body.startswith("K"):
@@ -875,16 +892,11 @@ def _copies_rows(rows, n: int, target: Copies) -> tuple[int, ...] | None:
     return None if remaining else tuple(flat)
 
 
-def _contains_rows(rows, n: int, target: TargetPattern) -> EmbeddingWitness | None:
+def _contains_rows(rows, n: int, t: TargetPattern) -> EmbeddingWitness | None:
     """First embedding from the kernel of the target's _kernel_form, flat,
-    split into the groups of the spelled kind by _group_sizes."""
-    if isinstance(target, Copies):
-        inner = normalize_pattern(target.inner)
-        if isinstance(inner, (Matching, Copies)) or isinstance(inner, Explicit) and (
-            inner.graph.order == 0 or not is_connected(inner.graph)
-        ):
-            raise BadParam("inner pattern of copies must be connected")
-    t = normalize_pattern(target)
+    split into the groups of the spelled kind by _group_sizes. t is what
+    normalize_pattern returned (or its kernel form): the caller has read and
+    validated it, and this only dispatches."""
     k = _kernel_form(t)
     full = (1 << n) - 1
     if isinstance(k, Clique):
@@ -904,13 +916,14 @@ def _contains_rows(rows, n: int, target: TargetPattern) -> EmbeddingWitness | No
     return EmbeddingWitness(len(flat), tuple(tuple(islice(it, m)) for m in _group_sizes(t)))
 
 
-def contains_target(g: Graph, target: TargetPattern) -> EmbeddingWitness | None:
-    """Dispatch to the specialized oracle for each pattern kind. The inner
-    pattern of copies must be connected (BadParam otherwise)."""
-    return _contains_rows(g.rows, g.order, target)
+def contains_target(g: Graph, target: TargetPattern | str) -> EmbeddingWitness | None:
+    """Dispatch to the specialized oracle for each pattern kind. The target
+    is read by normalize_pattern: a string is parsed, and the inner pattern
+    of copies must be connected (BadParam otherwise)."""
+    return _contains_rows(g.rows, g.order, normalize_pattern(target))
 
 
-def witness_valid(g: Graph, target: TargetPattern, w: EmbeddingWitness) -> bool:
+def witness_valid(g: Graph, target: TargetPattern | str, w: EmbeddingWitness) -> bool:
     """Re-validate a witness against the host by one rule for every kind:
     distinct vertices of the host, groups of the sizes the pattern's kind
     gives them, and every edge of pattern_graph mapped to a host edge, the

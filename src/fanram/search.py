@@ -101,18 +101,15 @@ from .patterns import (
     copies_pattern,
     kt_packing,
     normalize_pattern,
-    parse_target,
     pattern_order,
 )
 
 
 @dataclass
 class SearchConfig:
-    """node_budget bounds the DFS nodes of one top-level search; seed drives
-    the randomized packing harness."""
+    """node_budget bounds the DFS nodes of one top-level search."""
 
     node_budget: int = 10_000_000
-    seed: int = 0
 
     def __post_init__(self):
         if self.node_budget < 0:
@@ -159,8 +156,10 @@ class SearchResult:
 
 
 def _as_pattern(t: TargetPattern | str) -> TargetPattern:
-    """The kernel form (patterns._kernel_form) of a target or its spelling."""
-    return _kernel_form(normalize_pattern(parse_target(t) if isinstance(t, str) else t))
+    """The kernel form (patterns._kernel_form) of a target or its spelling,
+    as normalize_pattern reads and validates it, so every search refuses
+    what the check refuses before any seed or node."""
+    return _kernel_form(normalize_pattern(t))
 
 
 def _iso_allows(rows_red, split: int, u: int, v: int) -> bool:
@@ -728,19 +727,17 @@ def _sample_min_degree(rng: random.Random, order: int, floor: int) -> Graph:
         rows[v] |= 1 << u
 
 
-def packing_property_check(
-    t: int, n: int, trials: int, config: SearchConfig | None = None
-) -> PackingReport:
+def packing_property_check(t: int, n: int, trials: int, seed: int = 0) -> PackingReport:
     """Sample graphs of order t*n conditioned on minimum degree at least
-    (t-1)*n and verify each packs n disjoint copies of K_t."""
+    (t-1)*n and verify each packs n disjoint copies of K_t; seed drives the
+    sampler."""
     if t < 2 or n < 1:
         raise BadParam("need t >= 2 and n >= 1")
     if t * n > 24:
         raise BadParam("order t*n capped at 24")
     if trials < 1:
         raise BadParam("need at least one trial")
-    cfg = config or SearchConfig()
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     order = t * n
     floor = (t - 1) * n
     failures = []
@@ -752,7 +749,7 @@ def packing_property_check(
         t=t,
         n=n,
         trials=trials,
-        seed=cfg.seed,
+        seed=seed,
         min_degree_floor=floor,
         failures=tuple(failures),
     )

@@ -657,6 +657,37 @@ def test_cache_search_replay_checks_every_witness_field(tmp_path, capsys, field,
     assert len(cache.read_text().splitlines()) == 2
 
 
+STATS_38 = {"nodes": 38, "red_prunes": 5, "blue_prunes": 3, "degree_prunes": 6, "iso_prunes": 12}
+
+
+@pytest.mark.parametrize("stats, caps", [
+    ("x", {"a": 1}),
+    ({**STATS_38, "nodes": True}, None),
+    ({**STATS_38, "nodes": -1}, None),
+    ({**STATS_38, "nodes": 38.0}, None),
+    ({k: STATS_38[k] for k in reversed(STATS_38)}, None),
+    ({**STATS_38, "extra": 0}, None),
+    (None, [{"red": "K2"}]),
+    (None, [1]),
+    (None, {"a": 1}),
+])
+def test_cache_search_replay_checks_stats_and_caps_shape(tmp_path, capsys, stats, caps):
+    cache = tmp_path / "cache.jsonl"
+    args = M2_F21 + ["--cache", str(cache)]
+    _, out1, _ = run(capsys, *args)
+    rec = json.loads(cache.read_text())
+    assert rec["artifact"]["stats"] == STATS_38
+    if stats is not None:
+        rec["artifact"]["stats"] = stats
+    if caps is not None:
+        rec["artifact"]["caps"] = caps
+    cache.write_text(json.dumps(rec) + "\n")
+    code, out2, err = run(capsys, *args)
+    assert (code, out2) == (0, out1)
+    assert "malformed stats or caps" in err
+    assert len(cache.read_text().splitlines()) == 2
+
+
 def test_cache_search_replay_prints_witness_keys_in_report_order(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     args = M2_F21 + ["--cache", str(cache)]
@@ -1030,17 +1061,26 @@ def test_fr2_text_shape():
     assert lines[2] == "k=v"
 
 
-def test_fr2_metadata_must_fit_one_line():
+def test_fr2_metadata_must_fit_one_line(tmp_path):
     c = thm17_construction(3, 1, 2, 1)
+    path = tmp_path / "c.fr2"
+    save_coloring(path, c, {"k": "v"})
+    before = path.read_bytes()
     for metadata, message in (
         ({"": "v"}, "bad metadata key ''"),
         ({"a=b": "v"}, "bad metadata key 'a=b'"),
         ({"a\nb": "v"}, "bad metadata key 'a\\nb'"),
         ({"k": "v\nw"}, "bad metadata value for 'k'"),
+        # load_coloring reads with universal newlines, where \r ends a line too
+        ({"k\rx": "v"}, "bad metadata key 'k\\rx'"),
+        ({"note": "a\rb"}, "bad metadata value for 'note'"),
     ):
         with pytest.raises(ParseError) as exc:
             render_coloring(c, metadata)
         assert str(exc.value).startswith(message), metadata
+        with pytest.raises(ParseError):
+            save_coloring(path, c, metadata)
+        assert path.read_bytes() == before, metadata
 
 
 def test_fr2_parse_errors():

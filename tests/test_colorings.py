@@ -42,7 +42,7 @@ from fanram.graphs import (
     induced,
     is_connected,
 )
-from fanram.patterns import Clique, EmbeddingWitness, Fan, copies_pattern, parse_target
+from fanram.patterns import Clique, Copies, EmbeddingWitness, Fan, copies_pattern, parse_target
 
 from conftest import cycle_graph, random_graph
 
@@ -380,6 +380,18 @@ def test_load_certificate_rejects_corruption():
         doc[field] = value
         with pytest.raises(CorruptRecord, match="differs from its re-validation"):
             load_certificate(json.dumps(doc))
+
+
+def test_certificates_name_the_normalized_target():
+    # check_free reads its targets as every entry point does, so the stored
+    # name is one load_certificate parses back to the same target
+    c = thm17_construction(3, 1, 2, 2)
+    for target, name in (
+        (Copies(1, Fan(2, 2)), "F:2,2"),
+        (Copies(2, Copies(1, Fan(2, 1))), "2xF:2,1"),
+    ):
+        cert = load_certificate(serialize_certificate(check_free(c, "K3", target)))
+        assert certificate_obj(cert)["blue_target"] == name
 
 
 def test_load_certificate_bad_coloring_is_corruption():

@@ -54,6 +54,7 @@ from fanram.patterns import (
     pattern_order,
     witness_valid,
 )
+from fanram.search import SearchConfig, exists_free_coloring, ramsey_number, star_critical
 
 from conftest import (
     corpus,
@@ -517,6 +518,16 @@ def test_copies_inner_validation():
         contains_copies(complete(6), 2, Explicit(graph_copies(2, complete(2))))
     with pytest.raises(BadParam):
         contains_copies(complete(6), 2, Explicit(empty_graph(0)))
+    # every search reads its targets by the same rule, before any seed or
+    # node: with no budget, a search that started would report exhaustion
+    none = SearchConfig(node_budget=0)
+    for bad in (Copies(2, Matching(1)), Copies(2, Explicit(graph_copies(2, complete(2))))):
+        with pytest.raises(BadParam, match="^inner pattern of copies must be connected$"):
+            ramsey_number("K3", bad, 1, 12, none)
+        with pytest.raises(BadParam, match="^inner pattern of copies must be connected$"):
+            star_critical(bad, "K3", 5, none)
+        with pytest.raises(BadParam, match="^inner pattern of copies must be connected$"):
+            exists_free_coloring(complete(4), "K3", bad, none)
 
 
 def test_contains_target_dispatch_matches_specialized():

@@ -760,10 +760,10 @@ def test_packing_property_small():
 
 
 def test_packing_determinism_and_seeds():
-    a = packing_property_check(2, 3, 25, SearchConfig(seed=7))
-    b = packing_property_check(2, 3, 25, SearchConfig(seed=7))
+    a = packing_property_check(2, 3, 25, seed=7)
+    b = packing_property_check(2, 3, 25, seed=7)
     assert a == b
-    c = packing_property_check(2, 3, 25, SearchConfig(seed=8))
+    c = packing_property_check(2, 3, 25, seed=8)
     assert c.ok
 
 
